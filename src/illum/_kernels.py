@@ -1,122 +1,15 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: the two counting loops of the sampled verifiers.
 
-The backend is picked once at import time from the ``ILLUM_BACKEND``
-environment variable (``numba`` or ``numpy``).  Default is numba when it
-imports cleanly, numpy otherwise.  Both paths compute identical results;
-``benchmarks/bench_kernels.py`` compares their throughput.
+Both are plain numpy and work in bounded chunks or per center, so memory
+stays linear in the number of points.  ``perfbench/`` measures them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_VALID_BACKENDS = ("numba", "numpy")
-
-
-def _resolve_backend() -> str:
-    env = os.environ.get("ILLUM_BACKEND", "").strip().lower()
-    if env in _VALID_BACKENDS:
-        return env
-    if env:
-        raise ValueError(
-            f"ILLUM_BACKEND must be one of {_VALID_BACKENDS}, got {env!r}"
-        )
-    try:
-        import numba  # noqa: F401
-        return "numba"
-    except ImportError:
-        return "numpy"
-
-
-_BACKEND = _resolve_backend()
-
-
-def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime (used by tests and benchmarks)."""
-    global _BACKEND
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"unknown backend {name!r}")
-    _BACKEND = name
-
-
-# --- numpy reference implementations ---------------------------------------
 
 # Chunk size bounds the (points x directions) scratch matrix to ~tens of MB.
 _CHUNK = 1 << 18
-
-
-def _count_margins_numpy(normals, offsets, dirs, mults, tau):
-    n = normals.shape[0]
-    counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        margins = -(normals[lo:hi] @ dirs.T) - offsets[lo:hi, None]
-        counts[lo:hi] = (margins > tau) @ mults
-    return counts
-
-
-def _count_covers_numpy(points, centers, tau):
-    n = points.shape[0]
-    limit = (1.0 - tau) ** 2
-    counts = np.zeros(n, dtype=np.int64)
-    pt_sq = np.einsum("ij,ij->i", points, points)
-    for k in range(centers.shape[0]):
-        c = centers[k]
-        d_sq = pt_sq - 2.0 * (points @ c) + c @ c
-        counts += d_sq < limit
-    return counts
-
-
-# --- numba implementations ---------------------------------------------------
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _count_margins_numba(normals, offsets, dirs, mults, tau):
-        n_pts, dim = normals.shape
-        n_dirs = dirs.shape[0]
-        counts = np.zeros(n_pts, dtype=np.int64)
-        for i in range(n_pts):
-            c = 0
-            for j in range(n_dirs):
-                dot = 0.0
-                for k in range(dim):
-                    dot += normals[i, k] * dirs[j, k]
-                if -dot - offsets[i] > tau:
-                    c += mults[j]
-            counts[i] = c
-        return counts
-
-    @njit(cache=True)
-    def _count_covers_numba(points, centers, tau):
-        n_pts, dim = points.shape
-        n_c = centers.shape[0]
-        limit = (1.0 - tau) ** 2
-        counts = np.zeros(n_pts, dtype=np.int64)
-        for i in range(n_pts):
-            c = 0
-            for j in range(n_c):
-                d = 0.0
-                for k in range(dim):
-                    diff = points[i, k] - centers[j, k]
-                    d += diff * diff
-                if d < limit:
-                    c += 1
-            counts[i] = c
-        return counts
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-    if _BACKEND == "numba":
-        _BACKEND = "numpy"
 
 
 def count_illuminating(normals, offsets, dirs, mults, tau):
@@ -130,9 +23,14 @@ def count_illuminating(normals, offsets, dirs, mults, tau):
     offsets = np.ascontiguousarray(offsets, dtype=np.float64)
     dirs = np.ascontiguousarray(dirs, dtype=np.float64)
     mults = np.ascontiguousarray(mults, dtype=np.int64)
-    if _BACKEND == "numba" and _HAVE_NUMBA:
-        return _count_margins_numba(normals, offsets, dirs, mults, float(tau))
-    return _count_margins_numpy(normals, offsets, dirs, mults, float(tau))
+    tau = float(tau)
+    n = normals.shape[0]
+    counts = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        margins = -(normals[lo:hi] @ dirs.T) - offsets[lo:hi, None]
+        counts[lo:hi] = (margins > tau) @ mults
+    return counts
 
 
 def count_covering(points, centers, tau):
@@ -140,6 +38,10 @@ def count_covering(points, centers, tau):
     with radial margin ``tau``."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    if _BACKEND == "numba" and _HAVE_NUMBA:
-        return _count_covers_numba(points, centers, float(tau))
-    return _count_covers_numpy(points, centers, float(tau))
+    limit = (1.0 - float(tau)) ** 2
+    counts = np.zeros(points.shape[0], dtype=np.int64)
+    pt_sq = np.einsum("ij,ij->i", points, points)
+    for c in centers:
+        d_sq = pt_sq - 2.0 * (points @ c) + c @ c
+        counts += d_sq < limit
+    return counts

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .geometry import (
     DirectionMultiset,
     SampleSet,
     Tolerance,
+    _segment_origin_distance_sq,
     dot,
     frac_vec,
     is_exact_coords,
@@ -38,6 +40,18 @@ from .polygons import (
     tangent_polygon,
     tangent_window_directions,
 )
+
+
+def _orthonormal_pair(vhat):
+    """Two unit vectors spanning the plane orthogonal to the unit 3-vector
+    ``vhat``, so that (vhat, b1, b2) is an orthonormal frame."""
+    helper = np.array([0.0, 0.0, 1.0])
+    if abs(vhat @ helper) > 0.9:
+        helper = np.array([1.0, 0.0, 0.0])
+    b1 = np.cross(vhat, helper)
+    b1 /= np.linalg.norm(b1)
+    b2 = np.cross(vhat, b1)
+    return b1, b2
 
 
 class CapBodySpec:
@@ -85,12 +99,7 @@ class CapBodySpec:
                 perp = np.array([-vhat[1], vhat[0]])
                 omegas = np.stack([perp, -perp])
             else:
-                helper = np.array([0.0, 0.0, 1.0])
-                if abs(vhat @ helper) > 0.9:
-                    helper = np.array([1.0, 0.0, 0.0])
-                b1 = np.cross(vhat, helper)
-                b1 /= np.linalg.norm(b1)
-                b2 = np.cross(vhat, b1)
+                b1, b2 = _orthonormal_pair(vhat)
                 ring = 2 * np.pi * np.arange(n_rings) / n_rings
                 omegas = np.cos(ring)[:, None] * b1 + np.sin(ring)[:, None] * b2
             touch = vhat / r + tangency * omegas
@@ -128,29 +137,6 @@ class SphericalCap:
             raise DomainError("cap center must be a unit vector")
 
 
-def _segment_origin_distance_sq_exact(a, b):
-    a, b = frac_vec(a), frac_vec(b)
-    d = tuple(y - x for x, y in zip(a, b))
-    dd = dot(d, d)
-    if dd == 0:
-        return dot(a, a)
-    from fractions import Fraction
-
-    t = min(max(-dot(a, d) / dd, Fraction(0)), Fraction(1))
-    closest = tuple(x + t * y for x, y in zip(a, d))
-    return dot(closest, closest)
-
-
-def _segment_origin_distance_sq_float(a, b) -> float:
-    a = np.asarray([float(c) for c in a])
-    b = np.asarray([float(c) for c in b])
-    d = b - a
-    dd = float(d @ d)
-    t = 0.0 if dd == 0 else min(max(-float(a @ d) / dd, 0.0), 1.0)
-    closest = a + t * d
-    return float(closest @ closest)
-
-
 def validate_cap_body(spec: CapBodySpec) -> bool:
     """Every pair of distinct apexes must connect through the closed ball
     (tangency counts).  Exact for rational apexes; float apexes get a tiny
@@ -158,13 +144,12 @@ def validate_cap_body(spec: CapBodySpec) -> bool:
     apexes = spec.apexes
     for i in range(len(apexes)):
         for j in range(i + 1, len(apexes)):
-            a, b = apexes[i], apexes[j]
-            if is_exact_coords(a) and is_exact_coords(b):
-                if _segment_origin_distance_sq_exact(a, b) > 1:
+            dist_sq = _segment_origin_distance_sq(apexes[i], apexes[j])
+            if isinstance(dist_sq, Fraction):
+                if dist_sq > 1:
                     return False
-            else:
-                if _segment_origin_distance_sq_float(a, b) > 1.0 + 1e-9:
-                    return False
+            elif dist_sq > 1.0 + 1e-9:
+                return False
     return True
 
 
@@ -216,13 +201,6 @@ def _point_in_cone_interior(v, p) -> bool:
     w = tuple(x - y for x, y in zip(vf, pf))
     axial = dot(w, vf)
     return axial > 0 and axial * axial > dot(w, w) * (dot(vf, vf) - 1.0)
-
-
-def _point_in_spiky_interior(v, p) -> bool:
-    """p in the interior of conv(ball + apex v)."""
-    if dot(tuple(float(c) for c in p), tuple(float(c) for c in p)) < 1.0:
-        return True
-    return _point_in_cone_interior(v, p)
 
 
 def _require_single_apex(spec: CapBodySpec):

@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--samples", type=int)
     p.add_argument("--margin", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("ball-lift", help="lift d-ball directions to d+1")
     p.add_argument("--dirs", required=True)
@@ -120,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--samples", type=int)
     p.add_argument("--margin", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("capbody-validate", help="pairwise apex segment condition")
     p.add_argument("--spec", required=True)
@@ -241,9 +239,7 @@ def _cmd_ball_construct(args) -> CommandResult:
 
 def _cmd_ball_verify(args) -> CommandResult:
     multiset = jsonio.multiset_from_json(_load_json(args.dirs))
-    report = verify_mfold(
-        Ball(args.d), multiset, args.m, _tolerance(args), threads=args.threads
-    )
+    report = verify_mfold(Ball(args.d), multiset, args.m, _tolerance(args))
     return CommandResult(
         "ok" if report.passed else "fail",
         {"schema": jsonio.SCHEMA, "report": jsonio.report_to_json(report)},
@@ -303,9 +299,7 @@ def _cmd_capbody_construct(args) -> CommandResult:
 def _cmd_capbody_verify(args) -> CommandResult:
     spec = jsonio.capbody_from_json(_load_json(args.spec))
     multiset = jsonio.multiset_from_json(_load_json(args.dirs))
-    report = verify_mfold(
-        spec, multiset, args.m, _tolerance(args), threads=args.threads
-    )
+    report = verify_mfold(spec, multiset, args.m, _tolerance(args))
     return CommandResult(
         "ok" if report.passed else "fail",
         {"schema": jsonio.SCHEMA, "report": jsonio.report_to_json(report)},

@@ -10,7 +10,6 @@ does not illuminate it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -448,18 +447,21 @@ def _segment_meets_polygon_interior(poly: ConvexPolygon, a, b) -> bool:
     return True
 
 
-def _segment_meets_ball_interior(a, b, dim_check=None) -> bool:
-    """Does the closed segment a-b meet the open unit ball?"""
+def _segment_origin_distance_sq(a, b):
+    """Squared distance from the origin to the closed segment a-b.
+
+    Exact (a ``Fraction``) for rational endpoints, a float otherwise.
+    """
     if is_exact_coords(a) and is_exact_coords(b):
         a, b = frac_vec(a), frac_vec(b)
         d = tuple(y - x for x, y in zip(a, b))
         dd = dot(d, d)
         if dd == 0:
-            return dot(a, a) < 1
+            return dot(a, a)
         t = -Fraction(dot(a, d), dd)
         t = min(max(t, Fraction(0)), Fraction(1))
         closest = tuple(x + t * y for x, y in zip(a, d))
-        return dot(closest, closest) < 1
+        return dot(closest, closest)
     av = np.asarray([float(c) for c in a])
     bv = np.asarray([float(c) for c in b])
     d = bv - av
@@ -473,7 +475,15 @@ def _segment_meets_ball_interior(a, b, dim_check=None) -> bool:
         closest = bv
     else:
         closest = av + t * d
-    return float(np.linalg.norm(closest)) < 1.0 - 1e-12
+    return float(closest @ closest)
+
+
+def _segment_meets_ball_interior(a, b) -> bool:
+    """Does the closed segment a-b meet the open unit ball?"""
+    dist_sq = _segment_origin_distance_sq(a, b)
+    if isinstance(dist_sq, Fraction):
+        return dist_sq < 1
+    return math.sqrt(dist_sq) < 1.0 - 1e-12
 
 
 def illuminates_by_point(body, source, p, tol: Tolerance = Tolerance()) -> bool:
@@ -637,26 +647,11 @@ def verify_samples(
     multiset: DirectionMultiset,
     m: int,
     tol: Tolerance,
-    threads: int = 1,
 ) -> IlluminationReport:
     """Count robustly illuminating directions per sample and report the worst."""
     units, mults = multiset.as_arrays()
     pts, normals, offsets = samples.points, samples.normals, samples.offsets
-    if threads > 1 and len(pts) > 1:
-        bounds = np.linspace(0, len(pts), threads + 1, dtype=int)
-        chunks = [(bounds[i], bounds[i + 1]) for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: _kernels.count_illuminating(
-                        normals[c[0]:c[1]], offsets[c[0]:c[1]], units, mults, tol.margin
-                    ),
-                    chunks,
-                )
-            )
-        counts = np.concatenate(parts)
-    else:
-        counts = _kernels.count_illuminating(normals, offsets, units, mults, tol.margin)
+    counts = _kernels.count_illuminating(normals, offsets, units, mults, tol.margin)
     wi = _worst_index(pts, counts)
     margins = -(units @ normals[wi]) - offsets[wi]
     return IlluminationReport(
@@ -714,7 +709,6 @@ def verify_mfold(
     multiset: DirectionMultiset,
     m: int,
     tol: Tolerance = Tolerance(),
-    threads: int = 1,
 ) -> IlluminationReport:
     """m-fold illumination verdict for a polygon (exact), ball, smooth 2D
     body, or cap body of a ball (sampled with strictness margin)."""
@@ -731,14 +725,14 @@ def verify_mfold(
         n = resolve_samples(tol, body.dim)
         pts = sphere_sample(body.dim, n)
         samples = SampleSet(points=pts, normals=pts, offsets=np.zeros(len(pts)))
-        return verify_samples(samples, multiset, m, tol, threads)
+        return verify_samples(samples, multiset, m, tol)
     if isinstance(body, SupportFunctionBody):
         n = tol.samples if tol.samples is not None else DEFAULT_SAMPLES[2]
         thetas = 2 * np.pi * np.arange(n, dtype=np.float64) / n
         pts = body.boundary_points(thetas)
         normals = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         samples = SampleSet(points=pts, normals=normals, offsets=np.zeros(n))
-        return verify_samples(samples, multiset, m, tol, threads)
+        return verify_samples(samples, multiset, m, tol)
     from .capbody import CapBodySpec, validate_cap_body  # deferred: capbody builds on this module
 
     if isinstance(body, CapBodySpec):
@@ -747,5 +741,5 @@ def verify_mfold(
                 "cap body is invalid: an apex pair's segment misses the ball"
             )
         samples = body.boundary_sample_set(resolve_samples(tol, body.dim))
-        return verify_samples(samples, multiset, m, tol, threads)
+        return verify_samples(samples, multiset, m, tol)
     raise UnsupportedBody(f"cannot verify body of kind {type(body).__name__}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .capbody import (
     CapBodySpec,
+    _orthonormal_pair,
     _point_in_cone_interior,
     _point_in_spike,
     _point_in_spiky_hull,
@@ -180,12 +181,7 @@ def lemma_closed_cap_transfer(rng, trials=500, ring_samples=24) -> LemmaResult:
         vhat = v / r
         u = _interior_ball_point(rng, 3) - v
         u /= np.linalg.norm(u)
-        helper = np.array([0.0, 0.0, 1.0])
-        if abs(vhat @ helper) > 0.9:
-            helper = np.array([1.0, 0.0, 0.0])
-        b1 = np.cross(vhat, helper)
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(vhat, b1)
+        b1, b2 = _orthonormal_pair(vhat)
         radial = math.sqrt(1.0 - 1.0 / (r * r))
         for k in range(ring_samples):
             ang = 2 * math.pi * k / ring_samples

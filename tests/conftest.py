@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 
 import illum
@@ -42,17 +41,6 @@ def random_direction_2d(rng, coord_range: int = 40):
              int(rng.integers(-coord_range, coord_range + 1)))
         if v != (0, 0):
             return v
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once so timed criteria measure math, not JIT."""
-    from illum import Ball, DirectionMultiset, Tolerance, verify_mfold
-    from illum.balls import ball_grid, cover_min_count
-
-    tiny = DirectionMultiset.from_vectors([(0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
-    verify_mfold(Ball(3), tiny, 1, Tolerance(samples=64))
-    cover_min_count(ball_grid(2, 0.5), np.zeros((1, 2)), 1e-6)
 
 
 @pytest.fixture

@@ -1,17 +1,7 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from illum import _kernels
-
-
-@pytest.fixture
-def restore_backend():
-    previous = _kernels.active_backend()
-    yield
-    _kernels.set_backend(previous)
 
 
 def _random_margin_inputs(rng, n_pts=2_000, n_dirs=7, dim=3):
@@ -24,83 +14,37 @@ def _random_margin_inputs(rng, n_pts=2_000, n_dirs=7, dim=3):
     return normals, offsets, dirs, mults
 
 
-class TestBackendAgreement:
-    def test_count_illuminating(self, restore_backend):
+class TestCountIlluminating:
+    @pytest.mark.parametrize("n_pts", [1, 2_000, _kernels._CHUNK + 17])
+    def test_matches_definition(self, n_pts):
         rng = np.random.default_rng(55)
-        for _ in range(5):
-            args = _random_margin_inputs(rng)
-            _kernels.set_backend("numpy")
-            a = _kernels.count_illuminating(*args, 1e-6)
-            _kernels.set_backend("numba")
-            b = _kernels.count_illuminating(*args, 1e-6)
-            assert np.array_equal(a, b)
+        normals, offsets, dirs, mults = _random_margin_inputs(rng, n_pts=n_pts)
+        tau = 1e-6
+        expected = sum(
+            mults[j] * (-(normals @ dirs[j]) - offsets > tau) for j in range(len(dirs))
+        )
+        got = _kernels.count_illuminating(normals, offsets, dirs, mults, tau)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
 
-    def test_count_covering(self, restore_backend):
+    def test_margin_threshold_is_strict(self):
+        normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        dirs = np.array([[0.0, 0.0, -1.0]])
+        counts = _kernels.count_illuminating(normals, np.zeros(2), dirs, [3], 1.0)
+        assert counts.tolist() == [0, 0]
+        counts = _kernels.count_illuminating(normals, np.zeros(2), dirs, [3], 0.5)
+        assert counts.tolist() == [3, 0]
+
+
+class TestCountCovering:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_definition(self, dim):
         rng = np.random.default_rng(56)
-        for _ in range(5):
-            points = rng.uniform(-1, 1, size=(3_000, 3))
-            centers = rng.uniform(-0.5, 0.5, size=(6, 3))
-            _kernels.set_backend("numpy")
-            a = _kernels.count_covering(points, centers, 1e-6)
-            _kernels.set_backend("numba")
-            b = _kernels.count_covering(points, centers, 1e-6)
-            assert np.array_equal(a, b)
-
-
-class TestBackendSelection:
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            _kernels.set_backend("cuda")
-
-    def test_env_flag_forces_numpy(self, child_env):
-        code = (
-            "from illum import _kernels; print(_kernels.active_backend())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=child_env(ILLUM_BACKEND="numpy"),
-            capture_output=True,
-            text=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_flag_rejects_garbage(self, child_env):
-        code = "import illum._kernels"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=child_env(ILLUM_BACKEND="verilog"),
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "ILLUM_BACKEND" in out.stderr
-
-
-class TestVerifierUnderBothBackends:
-    def test_full_report_identical(self, restore_backend):
-        from illum.balls import b3_direction_multiset
-        from illum.geometry import Ball, Tolerance, verify_mfold
-
-        multiset = b3_direction_multiset(2)
-        reports = {}
-        for backend in ("numpy", "numba"):
-            _kernels.set_backend(backend)
-            reports[backend] = verify_mfold(
-                Ball(3), multiset, 2, Tolerance(samples=20_000)
-            )
-        a, b = reports["numpy"], reports["numba"]
-        assert a.passed == b.passed
-        assert a.worst_point == b.worst_point
-        assert a.worst_count == b.worst_count
-        assert a.worst_margin == b.worst_margin
-
-    def test_threads_do_not_change_report(self):
-        from illum.balls import b3_direction_multiset
-        from illum.geometry import Ball, Tolerance, verify_mfold
-
-        multiset = b3_direction_multiset(1)
-        tol = Tolerance(samples=30_000)
-        single = verify_mfold(Ball(3), multiset, 1, tol, threads=1)
-        multi = verify_mfold(Ball(3), multiset, 1, tol, threads=4)
-        assert single.worst_point == multi.worst_point
-        assert single.worst_count == multi.worst_count
+        points = rng.uniform(-1, 1, size=(3_000, dim))
+        centers = rng.uniform(-0.5, 0.5, size=(6, dim))
+        tau = 1e-6
+        dist = np.sqrt(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
+        expected = (dist < 1.0 - tau).sum(axis=1)
+        got = _kernels.count_covering(points, centers, tau)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
