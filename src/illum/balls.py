@@ -108,10 +108,14 @@ def ball_grid(dim: int, spacing: float | None = None) -> np.ndarray:
             ) from None
     per_axis = round(2.0 / spacing) + 1
     axis = np.linspace(-1.0, 1.0, per_axis)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    points = np.stack(mesh, axis=-1).reshape(-1, dim)
-    inside = np.einsum("ij,ij->i", points, points) <= 1.0
-    return points[inside]
+    slabs = []
+    # slab by slab along the first axis, so the whole cube (twice the ball's
+    # points at d=3) is never held in memory
+    for x in axis:
+        mesh = np.meshgrid([x], *([axis] * (dim - 1)), indexing="ij")
+        points = np.stack(mesh, axis=-1).reshape(-1, dim)
+        slabs.append(points[np.einsum("ij,ij->i", points, points) <= 1.0])
+    return np.concatenate(slabs)
 
 
 def cover_min_count(grid: np.ndarray, centers: np.ndarray, margin: float):

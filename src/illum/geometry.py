@@ -230,8 +230,8 @@ class Tolerance:
     samples: Optional[int] = None
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise DomainError("margin must be >= 0")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise DomainError("margin must be a finite number >= 0")
         if self.samples is not None and self.samples < 1:
             raise DomainError("sample count must be >= 1")
 
@@ -626,13 +626,13 @@ class SampleSet:
 
 
 def _worst_index(points: np.ndarray, counts: np.ndarray) -> int:
-    worst = counts.min()
-    candidates = np.flatnonzero(counts == worst)
-    if len(candidates) == 1:
-        return int(candidates[0])
-    rows = points[candidates]
-    order = np.lexsort(rows.T[::-1])
-    return int(candidates[order[0]])
+    """First index of the lexicographically least point among the minimum
+    counts: the first row of a stable ``lexsort``, found without sorting."""
+    candidates = np.flatnonzero(counts == counts.min())
+    for column in range(points.shape[1]):
+        vals = points[candidates, column]
+        candidates = candidates[vals == vals.min()]
+    return int(candidates[0])
 
 
 def _kth_largest_margin(margins: np.ndarray, mults: np.ndarray, k: int) -> float:

@@ -7,6 +7,7 @@ without loss; float coordinates stay JSON numbers.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import DomainError
@@ -41,7 +42,10 @@ def scalar_from_json(c):
         raise DomainError("booleans are not coordinates")
     if isinstance(c, int):
         return Fraction(c)
-    return float(c)
+    value = float(c)
+    if not math.isfinite(value):
+        raise DomainError(f"coordinate {value} is not finite")
+    return value
 
 
 def polygon_to_json(poly: ConvexPolygon) -> dict:
@@ -55,7 +59,7 @@ def polygon_from_json(doc: dict) -> ConvexPolygon:
     _check_schema(doc, "polygon")
     try:
         vertices = [tuple(Fraction(c) for c in v) for v in doc["vertices"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed polygon JSON: {exc}") from exc
     return ConvexPolygon(vertices)
 
@@ -80,7 +84,7 @@ def multiset_from_json(doc: dict) -> DirectionMultiset:
             )
             for e in doc["entries"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed direction multiset JSON: {exc}") from exc
     return DirectionMultiset(entries)
 
@@ -112,7 +116,7 @@ def capbody_from_json(doc: dict):
     try:
         dim = int(doc["dim"])
         apexes = [tuple(scalar_from_json(c) for c in a) for a in doc["apexes"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed cap body JSON: {exc}") from exc
     return CapBodySpec(dim=dim, apexes=apexes)
 
@@ -135,8 +139,6 @@ def format_angle(value: float, pi_fraction: Fraction | None = None) -> str:
     """Angles print as exact rational multiples of pi where representable
     (caller-supplied or detected to full float precision), otherwise as
     17-significant-digit decimals."""
-    import math
-
     if pi_fraction is None:
         candidate = Fraction(value / math.pi).limit_denominator(1000)
         if candidate != 0 and abs(float(candidate) * math.pi - value) < 4e-16:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from illum.balls import (
+    COVER_GRID_SPACING,
     b3_band_report,
     b3_direction_multiset,
     b3_eps_bound,
@@ -131,6 +132,21 @@ class TestCovering:
         g2 = ball_grid(3, 0.2)
         assert g1.tobytes() == g2.tobytes()
         assert (np.linalg.norm(g1, axis=1) <= 1 + 1e-12).all()
+
+    @pytest.mark.parametrize(
+        "dim, spacing",
+        [(d, s) for d in (2, 3, 4) for s in (None, 0.2, 0.1, 0.07)],
+    )
+    def test_grid_bytes_equal_full_cube_filter(self, dim, spacing):
+        # the whole-cube build the slab build replaced, kept as the reference
+        step = COVER_GRID_SPACING[dim] if spacing is None else spacing
+        axis = np.linspace(-1.0, 1.0, round(2.0 / step) + 1)
+        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+        cube = np.stack(mesh, axis=-1).reshape(-1, dim)
+        expected = cube[np.einsum("ij,ij->i", cube, cube) <= 1.0]
+        got = ball_grid(dim, spacing)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_b3_m1_gives_four_translates(self):
         cover = illumination_to_cover(b3_direction_multiset(1), 1, 3)

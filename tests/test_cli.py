@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,65 @@ class TestErrors:
         result = run(["polygon-solve", "--polygon", "/nonexistent.json", "-m", "1"])
         assert result.status == "error"
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["polygon-solve", "--polygon", "{path}", "-m", "1"],
+             {"vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]}),
+            (["ball-verify", "--dirs", "{path}", "-m", "1", "-d", "3"],
+             {"entries": [{"dir": ["1/0", "0", "-1"]}]}),
+            (["capbody-validate", "--spec", "{path}"],
+             {"dim": 2, "apexes": [["1/0", "0"], ["0", "2"]]}),
+        ],
+        ids=["polygon", "multiset", "capbody"],
+    )
+    def test_zero_denominator_exits_2(self, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = run([str(path) if a == "{path}" else a for a in argv])
+        assert result.status == "error" and result.exit_code == 2
+        assert "error" in result.payload
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["polygon-solve", "--polygon", "{path}", "-m", "1"],
+             '{"vertices": [[1e400, 0], [1, 0], [0, 1]]}'),
+            (["ball-verify", "--dirs", "{path}", "-m", "1", "-d", "3"],
+             '{"entries": [{"dir": [0, 0, -1], "mult": 1e400}]}'),
+            (["capbody-validate", "--spec", "{path}"],
+             '{"dim": 1e400, "apexes": [[2, 0]]}'),
+        ],
+        ids=["polygon-vertex", "multiset-mult", "capbody-dim"],
+    )
+    def test_overflowing_number_exits_2(self, tmp_path, argv, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        result = run([str(path) if a == "{path}" else a for a in argv])
+        assert result.status == "error" and result.exit_code == 2
+        assert "error" in result.payload
+
+    def test_nan_direction_exits_2(self, tmp_path):
+        path = tmp_path / "dirs.json"
+        path.write_text('{"entries": [{"dir": [NaN, 0, 0]}, {"dir": [0, 0, -1]}]}')
+        result = run(
+            ["ball-verify", "--dirs", str(path), "-m", "1", "-d", "3",
+             "--samples", "100"]
+        )
+        assert result.status == "error" and result.exit_code == 2
+        assert "not finite" in result.payload["error"]
+
+    @pytest.mark.parametrize("margin", ["nan", "inf"])
+    def test_non_finite_margin_exits_2(self, tmp_path, margin):
+        path = tmp_path / "dirs.json"
+        path.write_text('{"entries": [{"dir": [0, 0, -1]}]}')
+        result = run(
+            ["ball-verify", "--dirs", str(path), "-m", "1", "-d", "3",
+             "--samples", "100", "--margin", margin]
+        )
+        assert result.status == "error" and result.exit_code == 2
+        assert "margin" in result.payload["error"]
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, square_file):
@@ -181,6 +241,29 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert outs[0] == outs[1] and outs[0]
+
+
+class TestGoldenStdout:
+    """Stdout bytes of a cover-and-lift step and of the check of its result,
+    recorded from a run of the previous implementation (tests/data)."""
+
+    def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
+        from illum.balls import b3_direction_multiset
+        from illum.cli import main
+        from illum.jsonio import multiset_to_json
+
+        data = Path(__file__).parent / "data"
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        fan = tmp_path / "b3_m2.json"
+        fan.write_text(dump_json(multiset_to_json(b3_direction_multiset(2))) + "\n")
+        lifted = tmp_path / "b4_m2.json"
+        assert main(["ball-lift", "--dirs", str(fan), "-m", "2", "-d", "3",
+                     "--out", str(lifted)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (data / "ball_lift_m2_d3.stdout").read_text()
+        assert main(["ball-verify", "--dirs", str(lifted), "-m", "2", "-d", "4"]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (data / "ball_verify_m2_d4.stdout").read_text()
 
 
 class TestLogStreams:

@@ -13,6 +13,7 @@ from illum.geometry import (
     Direction,
     DirectionMultiset,
     Tolerance,
+    _worst_index,
     boundary_sample,
     illuminates_by_direction,
     illuminates_by_point,
@@ -289,6 +290,36 @@ class TestWorstPointTieBreak:
         report = verify_mfold(SQUARE, single, 1)
         assert not report.passed
         assert report.worst_point == (-1, 1)
+
+
+class TestWorstIndex:
+    @staticmethod
+    def _lexsort_reference(points, counts):
+        candidates = np.flatnonzero(counts == counts.min())
+        order = np.lexsort(points[candidates].T[::-1])
+        return int(candidates[order[0]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_matches_lexsort_under_heavy_ties(self, dim):
+        rng = np.random.default_rng(59)
+        # few distinct values, both zeros, so rows tie and repeat often
+        values = np.array([-1.0, -0.0, 0.0, 0.25, 1.0])
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            points = rng.choice(values, size=(n, dim))
+            counts = rng.integers(0, 3, size=n)
+            assert _worst_index(points, counts) == self._lexsort_reference(
+                points, counts
+            )
+
+    def test_signed_zero_ties_keep_first_index(self):
+        points = np.array([[1.0, 0.0], [0.0, 2.0], [-0.0, 2.0], [0.0, -1.0]])
+        counts = np.array([0, 0, 0, 0])
+        assert _worst_index(points, counts) == 3
+        points[3] = [5.0, -1.0]
+        assert _worst_index(points, counts) == 1 == self._lexsort_reference(
+            points, counts
+        )
 
 
 class TestDimensionMismatch:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -60,3 +61,16 @@ def test_schema_mismatch_rejected():
 def test_malformed_entries_rejected():
     with pytest.raises(DomainError):
         multiset_from_json({"entries": [{"mult": 1}]})
+
+
+def test_non_finite_direction_rejected():
+    for text in ('[NaN, 0, 0]', '[1e400, 0, 0]', '[0, -Infinity, 0]'):
+        doc = json.loads('{"entries": [{"dir": %s}]}' % text)
+        with pytest.raises(DomainError, match="not finite"):
+            multiset_from_json(doc)
+
+
+def test_non_finite_capbody_apex_rejected():
+    doc = json.loads('{"dim": 3, "apexes": [[1e400, 0, 0], [0, 0, 2]]}')
+    with pytest.raises(DomainError, match="not finite"):
+        capbody_from_json(doc)
