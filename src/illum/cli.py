@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 fail (a negative verdict), 2 error (bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,6 +48,9 @@ def _tolerance(args) -> Tolerance:
     )
 
 
+# built once per process: construction costs milliseconds per call to run(),
+# and parse_args leaves the parser unchanged
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="illum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -123,6 +124,8 @@ def capbody_from_json(doc: dict):
 
 def solution_to_json(solution) -> dict:
     """Piercing solution with multiplicities expanded into the list."""
+    if solution.size > sys.maxsize:
+        raise DomainError(f"optimum {solution.size} is too large to list")
     directions = []
     for d, (_, mult) in zip(solution.directions, solution.slots):
         directions.extend([[str(d[0]), str(d[1])]] * mult)

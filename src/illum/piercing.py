@@ -4,7 +4,8 @@ Positions are restricted to canonical "infinitesimally CCW past an arc
 start" slots: sliding any piercing point clockwise to the nearest start
 keeps every arc it was in, so an optimal canonical solution always
 exists.  Membership of the slot past start s in the open arc (a, b) is
-the exact half-open test s in [a, b), decided by orientation signs only.
+the exact half-open test s in [a, b), decided by orientation signs only,
+so the solver runs it on integer multiples of the endpoints.
 
 The optimum is found by a cut-and-unroll feasibility DP: fix a total T,
 cut the circle before the anchor slot, and solve the resulting
@@ -17,6 +18,7 @@ bound, reported as the optimality certificate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -121,22 +123,40 @@ def _membership(system: ArcSystem, order: list[int]) -> list[list[bool]]:
     ]
 
 
-def _intervals(member: list[list[bool]]) -> list[tuple[int, int]]:
-    """Cyclic position interval [l, r] covered by each arc (l may exceed r)."""
-    n = len(member[0])
-    out = []
-    for i, row in enumerate(member):
-        count = sum(row)
-        if count == 0:
-            raise GeometryInternalError("arc contains no canonical slot")
-        if count == n:
-            out.append((0, n - 1))
-            continue
-        l = next(k for k in range(n) if row[k] and not row[(k - 1) % n])
-        if not all(row[(l + j) % n] for j in range(count)):
-            raise GeometryInternalError("arc slot membership is not contiguous")
-        out.append((l, (l + count - 1) % n))
-    return out
+def _int_vec(v) -> tuple[int, int]:
+    """Primitive integer vector on the ray of the rational vector v.
+
+    Orientation signs are unchanged when a vector is scaled by a positive
+    factor, so exact arc tests can run on these small ints.
+    """
+    x, y = v
+    den = math.lcm(x.denominator, y.denominator)
+    ix = x.numerator * (den // x.denominator)
+    iy = y.numerator * (den // y.denominator)
+    g = math.gcd(ix, iy)
+    return ix // g, iy // g
+
+
+def _slot_intervals(ends) -> tuple[list[int], list[tuple[int, int]]]:
+    """Slot order and the cyclic slot interval [l, r] of every arc (l may
+    exceed r), from integer (start, end) pairs.
+
+    Arc i holds the slots whose start lies in [start_i, end_i): the run
+    from the first start equal to start_i up to the last start before
+    end_i, found by binary search over the sorted starts.
+    """
+    n = len(ends)
+    keys = [angle_sort_key(start) for start, _ in ends]
+    order = sorted(range(n), key=keys.__getitem__)
+    sorted_keys = [keys[i] for i in order]
+    intervals = []
+    for i, (_, end) in enumerate(ends):
+        l = bisect_left(sorted_keys, keys[i])
+        # cyclic distance from l to the first start at or past the end; 0
+        # means no start lies in [end, start), so the arc holds every slot
+        count = (bisect_left(sorted_keys, angle_sort_key(end)) - l) % n or n
+        intervals.append((0, n - 1) if count == n else (l, (l + count - 1) % n))
+    return order, intervals
 
 
 def _feasible(intervals, n, m, total):
@@ -216,19 +236,24 @@ def _certificate_from_cycle(cycle_edges, m: int) -> dict:
     }
 
 
-def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
+def _concretize_slot(system: ArcSystem, ends, arc_idx: int, covering: list[int]):
     """Exact rational direction strictly inside every arc covering the slot.
 
-    Rotates the start vector CCW by the rational rotation of parameter t
-    (angle 2*atan(t)), halving t until every strict membership holds.
+    Rotates the start vector CCW by the rational rotation of parameter
+    t = 1/q (angle 2*atan(t)), doubling q until every strict membership
+    holds.  The tests run on q^2 times the rotated integer start; only the
+    accepted direction is built from the exact start.
     """
-    x, y = system.arcs[arc_idx].start
-    t = Fraction(1, 4)
+    sx, sy = ends[arc_idx][0]
+    q = 4
     for _ in range(256):
-        w = ((1 - t * t) * x - 2 * t * y, 2 * t * x + (1 - t * t) * y)
-        if all(system.arcs[i].contains_direction(w) for i in covering):
-            return w
-        t /= 2
+        c = q * q - 1
+        w = (c * sx - 2 * q * sy, 2 * q * sx + c * sy)
+        if all(in_open_arc(*ends[i], w) for i in covering):
+            x, y = system.arcs[arc_idx].start
+            t = Fraction(1, q)
+            return ((1 - t * t) * x - 2 * t * y, 2 * t * x + (1 - t * t) * y)
+        q *= 2
     raise GeometryInternalError("failed to concretize a piercing slot")
 
 
@@ -238,9 +263,8 @@ def min_mfold_pierce(system: ArcSystem, m: int | None = None) -> PiercingSolutio
     if m < 1:
         raise DomainError("demand must be >= 1")
     n = system.n
-    order = _slot_order(system)
-    member = _membership(system, order)
-    intervals = _intervals(member)
+    ends = [(_int_vec(arc.start), _int_vec(arc.end)) for arc in system.arcs]
+    order, intervals = _slot_intervals(ends)
 
     certificate = None
     total = m
@@ -258,9 +282,13 @@ def min_mfold_pierce(system: ArcSystem, m: int | None = None) -> PiercingSolutio
                 if mult <= 0:
                     continue
                 arc_idx = order[k]
-                covering = [i for i in range(n) if member[i][k]]
+                covering = [
+                    i
+                    for i, (l, r) in enumerate(intervals)
+                    if (l <= k <= r if l <= r else not r < k < l)
+                ]
                 slots.append((arc_idx, mult))
-                dirs.append(_concretize_slot(system, arc_idx, covering))
+                dirs.append(_concretize_slot(system, ends, arc_idx, covering))
             return PiercingSolution(
                 size=total, m=m, slots=slots, directions=dirs, certificate=certificate
             )

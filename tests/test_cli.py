@@ -226,6 +226,15 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
         assert "margin" in result.payload["error"]
 
+    def test_optimum_too_large_to_list_exits_2(self, tmp_path):
+        path = tmp_path / "triangle.json"
+        path.write_text('{"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}')
+        result = run(
+            ["polygon-solve", "--polygon", str(path), "-m", "100000000000000000000"]
+        )
+        assert result.status == "error" and result.exit_code == 2
+        assert "too large" in result.payload["error"]
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, square_file):
@@ -244,8 +253,9 @@ class TestDeterminism:
 
 
 class TestGoldenStdout:
-    """Stdout bytes of a cover-and-lift step and of the check of its result,
-    recorded from a run of the previous implementation (tests/data)."""
+    """Stdout bytes of a cover-and-lift step, of the check of its result and
+    of two exact polygon solves, recorded from a run of the previous
+    implementation (tests/data)."""
 
     def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
         from illum.balls import b3_direction_multiset
@@ -264,6 +274,22 @@ class TestGoldenStdout:
         assert main(["ball-verify", "--dirs", str(lifted), "-m", "2", "-d", "4"]) == 0
         stdout = capsys.readouterr().out
         assert stdout == (data / "ball_verify_m2_d4.stdout").read_text()
+
+    def test_polygon_solve(self, tmp_path, capsys, monkeypatch):
+        from illum.cli import main
+        from illum.polygons import regular_polygon_rational
+
+        data = Path(__file__).parent / "data"
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        regular = tmp_path / "regular200.json"
+        regular.write_text(dump_json(polygon_to_json(regular_polygon_rational(200))))
+        cases = [
+            (regular, "3", "polygon_solve_reg200_m3.stdout"),
+            (data / "polygon_lattice24.json", "5", "polygon_solve_lattice24_m5.stdout"),
+        ]
+        for path, m, golden in cases:
+            assert main(["polygon-solve", "--polygon", str(path), "-m", m]) == 0
+            assert capsys.readouterr().out == (data / golden).read_text()
 
 
 class TestLogStreams:

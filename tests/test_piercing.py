@@ -1,12 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from illum.errors import DomainError
-from illum.geometry import verify_mfold
+from illum.errors import DomainError, GeometryInternalError
+from illum.geometry import cross2, dot, verify_mfold
 from illum.piercing import (
     Arc,
+    ArcSystem,
+    _concretize_slot,
+    _int_vec,
+    _membership,
+    _slot_intervals,
+    _slot_order,
     certificate_lower_bound,
     min_mfold_pierce,
     min_mfold_pierce_bruteforce,
@@ -21,6 +28,7 @@ from illum.polygons import (
 )
 
 from conftest import random_convex_polygon
+from test_arc_systems import random_arc_system
 
 
 class TestArc:
@@ -141,3 +149,192 @@ class TestRegularTableAgainstFormula:
         poly = regular_polygon_rational(n)
         for m in range(1, 5):
             assert illumination_number_polygon(poly, m) == regular_polygon_number(n, m)
+
+
+# --------------------------------------------------------------------------
+# integer slot intervals and slot concretization against the Fraction
+# membership table they replace
+# --------------------------------------------------------------------------
+
+def reference_intervals(member):
+    """Cyclic slot interval of every arc from the full membership table."""
+    n = len(member[0])
+    out = []
+    for row in member:
+        count = sum(row)
+        if count == 0:
+            raise GeometryInternalError("arc contains no canonical slot")
+        if count == n:
+            out.append((0, n - 1))
+            continue
+        l = next(k for k in range(n) if row[k] and not row[(k - 1) % n])
+        if not all(row[(l + j) % n] for j in range(count)):
+            raise GeometryInternalError("arc slot membership is not contiguous")
+        out.append((l, (l + count - 1) % n))
+    return out
+
+
+def reference_concretize(system, arc_idx, covering):
+    """Fraction rotation loop: halve t until every strict membership holds."""
+    x, y = system.arcs[arc_idx].start
+    t = Fraction(1, 4)
+    for _ in range(256):
+        w = ((1 - t * t) * x - 2 * t * y, 2 * t * x + (1 - t * t) * y)
+        if all(system.arcs[i].contains_direction(w) for i in covering):
+            return w
+        t /= 2
+    raise GeometryInternalError("failed to concretize a piercing slot")
+
+
+def int_ends(system):
+    return [(_int_vec(arc.start), _int_vec(arc.end)) for arc in system.arcs]
+
+
+def random_rational_direction(rng):
+    while True:
+        v = tuple(
+            Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 50)))
+            for _ in range(2)
+        )
+        if v != (0, 0):
+            return v
+
+
+def random_rational_system(rng, n):
+    arcs = []
+    while len(arcs) < n:
+        try:
+            arcs.append(
+                Arc(start=random_rational_direction(rng),
+                    end=random_rational_direction(rng))
+            )
+        except DomainError:
+            continue
+    return ArcSystem(arcs=arcs)
+
+
+def with_shared_directions(rng, system):
+    """Copy of ``system`` where some starts repeat another arc's start
+    direction and some ends hit another arc's start direction, each as a
+    different positive multiple."""
+    arcs = list(system.arcs)
+    n = len(arcs)
+    for _ in range(n):
+        i, j = (int(c) for c in rng.integers(0, n, 2))
+        factor = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        start, end = arcs[i].start, arcs[i].end
+        shared = (arcs[j].start[0] * factor, arcs[j].start[1] * factor)
+        if rng.integers(0, 2):
+            start = shared
+        else:
+            end = shared
+        try:
+            arcs[i] = Arc(start=start, end=end)
+        except DomainError:
+            continue
+    return ArcSystem(arcs=arcs)
+
+
+# [start, end) holds every slot: without wrap (first start to past the last)
+# and with wrap (the end just before the own start)
+FULL_CIRCLE = ArcSystem(
+    arcs=[Arc(start=(1, 0), end=(1, -1)),
+          Arc(start=(0, 1), end=(1, 1)),
+          Arc(start=(-1, 0), end=(-1, 1))]
+)
+
+
+def edge_case_systems():
+    rng = np.random.default_rng(2718)
+    systems = [random_arc_system(rng, int(rng.integers(1, 12))) for _ in range(60)]
+    systems += [random_rational_system(rng, int(rng.integers(2, 12))) for _ in range(30)]
+    systems += [with_shared_directions(rng, s) for s in list(systems)]
+    systems += [
+        # duplicate start directions, one arc longer than pi
+        ArcSystem(arcs=[Arc(start=(1, 0), end=(0, 1)),
+                        Arc(start=(2, 0), end=(-1, -1)),
+                        Arc(start=(Fraction(1, 3), 0), end=(0, -1)),
+                        Arc(start=(-1, -1), end=(1, -1))]),
+        # every end is another arc's start direction
+        ArcSystem(arcs=[Arc(start=(1, 0), end=(0, 2)),
+                        Arc(start=(0, 1), end=(-3, 0)),
+                        Arc(start=(-1, 0), end=(0, -1)),
+                        Arc(start=(0, -1), end=(5, 0))]),
+        FULL_CIRCLE,
+        # a single arc, and two arcs on one start direction
+        ArcSystem(arcs=[Arc(start=(1, 0), end=(0, 1))]),
+        ArcSystem(arcs=[Arc(start=(0, 1), end=(1, 0)), Arc(start=(0, 7), end=(-1, 0))]),
+        # large-denominator endpoints
+        vertex_arcs(regular_polygon_rational(200)),
+        vertex_arcs(regular_polygon_rational(201)),
+    ]
+    return systems
+
+
+@pytest.fixture(scope="module")
+def edge_cases():
+    """(system, slot order, Fraction membership table) per edge-case system."""
+    cases = []
+    for system in edge_case_systems():
+        order = _slot_order(system)
+        cases.append((system, order, _membership(system, order)))
+    return cases
+
+
+class TestIntVec:
+    def test_positive_primitive_multiple(self):
+        rng = np.random.default_rng(5)
+        vectors = [random_rational_direction(rng) for _ in range(300)]
+        vectors += [(Fraction(-4), Fraction(0)), (Fraction(0), Fraction(-3, 7))]
+        for v in vectors:
+            iv = _int_vec(v)
+            assert all(type(c) is int for c in iv)
+            assert cross2(v, iv) == 0 and dot(v, iv) > 0
+            assert math.gcd(*iv) == 1
+
+
+class TestSlotIntervals:
+    def test_systems_cover_the_edge_cases(self, edge_cases):
+        has_dup_start = has_end_on_start = has_long = has_full = has_wrap = False
+        for system, _, member in edge_cases:
+            starts = [_int_vec(a.start) for a in system.arcs]
+            ends = [_int_vec(a.end) for a in system.arcs]
+            has_dup_start |= len(set(starts)) < len(starts)
+            has_end_on_start |= bool(set(starts) & set(ends))
+            has_long |= any(a.length() > math.pi for a in system.arcs)
+            has_full |= any(all(row) for row in member) and system.n > 1
+            has_wrap |= any(l > r for l, r in reference_intervals(member))
+        assert has_dup_start and has_end_on_start and has_long
+        assert has_full and has_wrap
+
+    def test_matches_membership_table(self, edge_cases):
+        for system, order, member in edge_cases:
+            assert _slot_intervals(int_ends(system)) == (
+                order, reference_intervals(member)
+            )
+
+    def test_full_circle_intervals(self):
+        assert _slot_intervals(int_ends(FULL_CIRCLE))[1] == [(0, 2)] * 3
+
+
+class TestConcretizeSlot:
+    def test_matches_fraction_rotation(self, edge_cases):
+        for system, order, member in edge_cases:
+            if system.n > 60:
+                continue
+            ends = int_ends(system)
+            for k, arc_idx in enumerate(order):
+                covering = [i for i in range(system.n) if member[i][k]]
+                got = _concretize_slot(system, ends, arc_idx, covering)
+                assert got == reference_concretize(system, arc_idx, covering)
+                assert all(type(c) is Fraction for c in got)
+
+    def test_solution_slots_match_reference(self, edge_cases):
+        for system, order, member in edge_cases:
+            for m in (1, 3):
+                solution = min_mfold_pierce(system, m)
+                assert verify_piercing(system, solution, m)
+                for d, (arc_idx, _) in zip(solution.directions, solution.slots):
+                    k = order.index(arc_idx)
+                    covering = [i for i in range(system.n) if member[i][k]]
+                    assert d == reference_concretize(system, arc_idx, covering)
