@@ -2,7 +2,8 @@
 
 Exact solvers for convex polygons (via m-fold piercing of the vertex
 direction arcs), explicit direction constructions for balls and cap
-bodies of balls, sampled verifiers with strictness margins, and an
+bodies of balls, exact verifiers for balls and smooth planar bodies, a
+sampled verifier with strictness margin for cap bodies, and an
 executable ledger of the supporting structure lemmas.
 """
 
@@ -14,7 +15,6 @@ from .balls import (
     inverse_stereographic,
     lift_cover_to_directions,
     recursive_ball_construction,
-    verify_ball_construction,
 )
 from .capbody import (
     CapBodySpec,

@@ -27,17 +27,12 @@ from .geometry import (
     Ball,
     Direction,
     DirectionMultiset,
-    IlluminationReport,
     Tolerance,
     verify_mfold,
 )
 
 #: grid spacings for solid-ball covering verification, per dimension
 COVER_GRID_SPACING = {2: 0.005, 3: 0.01, 4: 0.08}
-
-#: sampled verification is supported up to this dimension; beyond it the
-#: construction is emitted formula-trusted
-VERIFY_DIM_CAP = 5
 
 
 def ball_upper_bound(m: int, d: int) -> int:
@@ -233,16 +228,6 @@ def recursive_ball_construction(
         cover = illumination_to_cover(multiset, m, dim, tol)
         multiset = lift_cover_to_directions(cover, tol)
     return multiset
-
-
-def verify_ball_construction(
-    multiset: DirectionMultiset, m: int, d: int, tol: Tolerance = Tolerance()
-) -> IlluminationReport | None:
-    """Sampled verification up to the dimension cap; None means the result
-    is emitted formula-trusted (d above the cap)."""
-    if d > VERIFY_DIM_CAP:
-        return None
-    return verify_mfold(Ball(d), multiset, m, tol)
 
 
 # --------------------------------------------------------------------------

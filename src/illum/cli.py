@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import balls, capbody, jsonio, polygons
 from .errors import IllumError
-from .geometry import Ball, Tolerance, verify_mfold
+from .geometry import Ball, Tolerance, ellipse_body, unit_circle_body, verify_mfold
 from .lemmas import run_lemma_suite
 
 
@@ -80,24 +80,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-b", type=float, default=1.0)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--samples", type=int)
     p.add_argument("--margin", type=float, default=1e-6)
-    p.add_argument("--no-verify", action="store_true")
 
     p = sub.add_parser("ball-construct", help="direction multiset for the d-ball")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-d", type=int, default=3)
     p.add_argument("--eps", type=float)
     p.add_argument("--out")
-    p.add_argument("--samples", type=int)
     p.add_argument("--margin", type=float, default=1e-6)
-    p.add_argument("--no-verify", action="store_true")
 
-    p = sub.add_parser("ball-verify", help="sampled m-fold check on the d-ball")
+    p = sub.add_parser("ball-verify", help="exact m-fold check on the d-ball")
     p.add_argument("--dirs", required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--samples", type=int)
     p.add_argument("--margin", type=float, default=1e-6)
 
     p = sub.add_parser("ball-lift", help="lift d-ball directions to d+1")
@@ -179,18 +174,8 @@ def _cmd_polygon_check(args) -> CommandResult:
     return CommandResult(status, payload, [f"satisfied: {payload['satisfied']}"])
 
 
-def _smooth_body(args):
-    if args.body == "circle":
-        from .geometry import unit_circle_body
-
-        return unit_circle_body()
-    from .geometry import ellipse_body
-
-    return ellipse_body(args.a, args.b)
-
-
 def _cmd_smooth_construct(args) -> CommandResult:
-    body = _smooth_body(args)
+    body = unit_circle_body() if args.body == "circle" else ellipse_body(args.a, args.b)
     multiset = polygons.smooth_2d_directions(body, args.m)
     payload = {
         "schema": jsonio.SCHEMA,
@@ -199,16 +184,15 @@ def _cmd_smooth_construct(args) -> CommandResult:
         "directions": jsonio.multiset_to_json(multiset)["entries"],
         "size": multiset.total,
     }
-    diagnostics = [f"{multiset.total} directions"]
-    status = "ok"
-    if not args.no_verify:
-        report = verify_mfold(body, multiset, args.m, _tolerance(args))
-        payload["report"] = jsonio.report_to_json(report)
-        status = "ok" if report.passed else "fail"
-        diagnostics.append(f"verification: {'pass' if report.passed else 'FAIL'}")
+    report = verify_mfold(body, multiset, args.m, _tolerance(args))
+    payload["report"] = jsonio.report_to_json(report)
+    diagnostics = [
+        f"{multiset.total} directions",
+        f"verification: {'pass' if report.passed else 'FAIL'}",
+    ]
     if args.out:
         _write_json(args.out, jsonio.multiset_to_json(multiset))
-    return CommandResult(status, payload, diagnostics)
+    return CommandResult("ok" if report.passed else "fail", payload, diagnostics)
 
 
 def _cmd_ball_construct(args) -> CommandResult:
@@ -223,22 +207,16 @@ def _cmd_ball_construct(args) -> CommandResult:
         "size": multiset.total,
         "directions": jsonio.multiset_to_json(multiset)["entries"],
     }
-    status = "ok"
-    diagnostics = [f"{multiset.total} directions for the {args.d}-ball"]
-    if args.no_verify or args.d > balls.VERIFY_DIM_CAP:
-        payload["verified"] = False
-        payload["formula_trusted"] = True
-        diagnostics.append("emitted formula-trusted (not sampled)")
-    else:
-        report = verify_mfold(Ball(args.d), multiset, args.m, _tolerance(args))
-        payload["verified"] = report.passed
-        payload["formula_trusted"] = False
-        payload["report"] = jsonio.report_to_json(report)
-        status = "ok" if report.passed else "fail"
-        diagnostics.append(f"verification: {'pass' if report.passed else 'FAIL'}")
+    report = verify_mfold(Ball(args.d), multiset, args.m, _tolerance(args))
+    payload["verified"] = report.passed
+    payload["report"] = jsonio.report_to_json(report)
+    diagnostics = [
+        f"{multiset.total} directions for the {args.d}-ball",
+        f"verification: {'pass' if report.passed else 'FAIL'}",
+    ]
     if args.out:
         _write_json(args.out, jsonio.multiset_to_json(multiset))
-    return CommandResult(status, payload, diagnostics)
+    return CommandResult("ok" if report.passed else "fail", payload, diagnostics)
 
 
 def _cmd_ball_verify(args) -> CommandResult:

@@ -1,10 +1,11 @@
 """Geometric primitives and the two illumination predicates.
 
 Arithmetic policy: everything 2D that feeds exact verdicts (polygons,
-piercing arcs) runs on ``fractions.Fraction``; dimensions >= 3 run on
-binary floats with an explicit strictness margin.  Inequalities are
-strict throughout: a direction tangent to the body at a boundary point
-does not illuminate it.
+piercing arcs) runs on ``fractions.Fraction``; ball and smooth-body
+verdicts run on integer multiples of the float unit directions; cap bodies
+are sampled on binary floats with an explicit strictness margin.
+Inequalities are strict throughout: a direction tangent to the body at a
+boundary point does not illuminate it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -224,7 +226,7 @@ class Ball:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Strictness margin and sample budget for float-mode verification."""
+    """Strictness margin of verification; sample budget of cap bodies."""
 
     margin: float = 1e-6
     samples: Optional[int] = None
@@ -236,8 +238,8 @@ class Tolerance:
             raise DomainError("sample count must be >= 1")
 
 
-#: per-sphere-dimension default sample counts for verification
-DEFAULT_SAMPLES = {2: 100_000, 3: 200_000, 4: 1_000_000, 5: 2_000_000}
+#: per-dimension default sample counts for cap-body verification
+DEFAULT_SAMPLES = {2: 100_000, 3: 200_000}
 
 
 def resolve_samples(tol: Tolerance, dim: int) -> int:
@@ -327,7 +329,6 @@ class SupportFunctionBody:
 
     support: Callable
     support_prime: Optional[Callable] = None
-    smooth: bool = True
 
     def _h(self, thetas: np.ndarray) -> np.ndarray:
         return np.asarray(self.support(thetas), dtype=np.float64)
@@ -531,41 +532,12 @@ def _point_in_polygon_interior(poly: ConvexPolygon, p) -> bool:
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
-def _kronecker_coords(n: int, dim: int) -> np.ndarray:
-    """Rank-``dim`` Kronecker lattice in [0,1)^dim from the generalized
-    golden ratio (unique positive root of x**(dim+1) = x + 1)."""
-    phi = 2.0
-    for _ in range(64):
-        phi = (1 + phi) ** (1.0 / (dim + 1))
-    alphas = np.array([phi ** -(k + 1) for k in range(dim)])
-    idx = np.arange(n, dtype=np.float64)[:, None]
-    return np.mod(0.5 + idx * alphas[None, :], 1.0)
-
-
 def _sphere_s2(n: int) -> np.ndarray:
     k = np.arange(n, dtype=np.float64)
     z = 1.0 - (2.0 * k + 1.0) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = k * _GOLDEN_ANGLE
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def _sphere_s3(u: np.ndarray) -> np.ndarray:
-    """Uniform map [0,1)^3 -> S^3 via Hopf coordinates."""
-    eta = np.arcsin(np.sqrt(u[:, 0]))
-    xi1 = 2 * np.pi * u[:, 1]
-    xi2 = 2 * np.pi * u[:, 2]
-    c, s = np.cos(eta), np.sin(eta)
-    return np.stack(
-        [c * np.cos(xi1), c * np.sin(xi1), s * np.cos(xi2), s * np.sin(xi2)], axis=1
-    )
-
-
-def _s4_last_coord(u: np.ndarray) -> np.ndarray:
-    # last coordinate of a uniform S^4 point has density (3/4)(1-t^2);
-    # the CDF (2 + 3t - t^3)/4 = u inverts through the depressed cubic
-    theta = np.arccos(np.clip(1.0 - 2.0 * u, -1.0, 1.0))
-    return 2.0 * np.cos(theta / 3.0 - 2.0 * np.pi / 3.0)
 
 
 def sphere_sample(dim: int, n: int) -> np.ndarray:
@@ -577,14 +549,6 @@ def sphere_sample(dim: int, n: int) -> np.ndarray:
         return np.stack([np.cos(t), np.sin(t)], axis=1)
     if dim == 3:
         return _sphere_s2(n)
-    if dim == 4:
-        return _sphere_s3(_kronecker_coords(n, 3))
-    if dim == 5:
-        u = _kronecker_coords(n, 4)
-        t = _s4_last_coord(u[:, 0])
-        base = _sphere_s3(u[:, 1:])
-        r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        return np.concatenate([r[:, None] * base, t[:, None]], axis=1)
     raise DomainError(f"sphere sampling not implemented for dimension {dim}")
 
 
@@ -635,11 +599,19 @@ def _worst_index(points: np.ndarray, counts: np.ndarray) -> int:
     return int(candidates[0])
 
 
-def _kth_largest_margin(margins: np.ndarray, mults: np.ndarray, k: int) -> float:
-    expanded = np.repeat(margins, mults)
-    expanded.sort()
-    k = min(k, len(expanded))
-    return float(expanded[-k])
+def _report(
+    m: int, point, count: int, margins: np.ndarray, mults: np.ndarray, samples: int
+) -> IlluminationReport:
+    """Verdict at the worst point, with the m-th largest margin there."""
+    expanded = np.sort(np.repeat(margins, mults))
+    return IlluminationReport(
+        passed=bool(count >= m),
+        m=m,
+        worst_point=tuple(point),
+        worst_count=int(count),
+        worst_margin=float(expanded[-min(m, len(expanded))]),
+        samples=samples,
+    )
 
 
 def verify_samples(
@@ -654,14 +626,7 @@ def verify_samples(
     counts = _kernels.count_illuminating(normals, offsets, units, mults, tol.margin)
     wi = _worst_index(pts, counts)
     margins = -(units @ normals[wi]) - offsets[wi]
-    return IlluminationReport(
-        passed=bool(counts[wi] >= m),
-        m=m,
-        worst_point=tuple(float(c) for c in pts[wi]),
-        worst_count=int(counts[wi]),
-        worst_margin=_kth_largest_margin(margins, mults, m),
-        samples=len(pts),
-    )
+    return _report(m, pts[wi].tolist(), counts[wi], margins, mults, len(pts))
 
 
 def _verify_polygon_exact(
@@ -694,14 +659,81 @@ def _verify_polygon_exact(
     pts = poly.vertex_array()
     wi = _worst_index(pts, counts)
     _, mults = multiset.as_arrays()
-    return IlluminationReport(
-        passed=bool(counts.min() >= m),
-        m=m,
-        worst_point=tuple(poly.vertices[wi]),
-        worst_count=int(counts[wi]),
-        worst_margin=_kth_largest_margin(margins_per_vertex[wi], mults, m),
-        samples=n,
-    )
+    return _report(m, poly.vertices[wi], counts[wi], margins_per_vertex[wi], mults, n)
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination: every
+    division is exact, so all entries stay integers."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _exact_sphere_minimum(
+    units: np.ndarray, mults: np.ndarray, tau: float
+) -> tuple[int, np.ndarray, int]:
+    """Exact minimum over the unit sphere of c(p) = #{j : <u_j, p> < -tau},
+    with multiplicity, for the rational values of the float rows u_j.
+
+    c is constant on the faces of the arrangement of the hyperplanes
+    <u_j, x> = -tau, only drops on their closures, and never drops along a
+    ray leaving the sphere.  So its minimum is attained (a) far out along
+    an extreme ray, where d-1 hyperplanes u_j^perp meet, or (b) if tau > 0,
+    at a vertex v with |v| >= 1, where d hyperplanes meet.  In homogeneous
+    coordinates X = (x, 1) both are cross products of d rows (u_j, tau),
+    the plane at infinity among them for (a); for (b) this is Cramer's
+    rule.  Directions spanning at most d-2 dimensions give neither, and a
+    point orthogonal to them all counts 0.
+
+    Returns the minimum, a float unit point attaining it, and the number of
+    subsets evaluated: C(k, d-1) + C(k, d) for k distinct rows, the second
+    term only when tau > 0.
+    """
+    d = units.shape[1]
+    merged = {}
+    for row, mult in zip(units.tolist(), mults.tolist()):
+        # the primitive integer row h ~ (u, tau): <u, x> < -tau iff <h, X> < 0
+        key = Direction((*row, tau))._canonical()
+        merged[key] = merged.get(key, 0) + mult
+    at_infinity = (0,) * d + (1,)
+    points = []
+    for subset in combinations([at_infinity, *merged], d):
+        if not tau and subset[0] != at_infinity:
+            break  # with tau = 0 every vertex is the origin
+        # signed minors, <point, X> = det(subset, X); the last one is 0 for (a)
+        point = [
+            (-1) ** (d + i) * _det([h[:i] + h[i + 1:] for h in subset])
+            for i in range(d + 1)
+        ]
+        if point[-1] < 0:
+            point = [-c for c in point]
+        if point[-1] and dot(point[:-1], point[:-1]) >= point[-1] ** 2:
+            points.append(point)
+        elif not point[-1] and any(point):
+            points += [point, [-c for c in point]]
+    k = len(merged)
+    evaluated = math.comb(k, d - 1) + (math.comb(k, d) if tau else 0)
+    if not points:
+        return 0, np.linalg.svd(units)[2][-1], evaluated
+    counts = [sum(mult for h, mult in merged.items() if dot(h, p) < 0) for p in points]
+    best = min(counts)
+    x = points[counts.index(best)][:-1]
+    scale = max(abs(c) for c in x)
+    x = np.asarray([c / scale for c in x])
+    return best, x / np.linalg.norm(x), evaluated
 
 
 def verify_mfold(
@@ -710,8 +742,9 @@ def verify_mfold(
     m: int,
     tol: Tolerance = Tolerance(),
 ) -> IlluminationReport:
-    """m-fold illumination verdict for a polygon (exact), ball, smooth 2D
-    body, or cap body of a ball (sampled with strictness margin)."""
+    """m-fold illumination verdict: exact for a polygon, a ball and a smooth
+    2D body (the latter two for the rational values of the float unit
+    directions), sampled with strictness margin for a cap body of a ball."""
     if m < 1:
         raise DomainError("m must be >= 1")
     body_dim = getattr(body, "dim", 2)
@@ -721,18 +754,16 @@ def verify_mfold(
         )
     if isinstance(body, ConvexPolygon):
         return _verify_polygon_exact(body, multiset, m)
-    if isinstance(body, Ball):
-        n = resolve_samples(tol, body.dim)
-        pts = sphere_sample(body.dim, n)
-        samples = SampleSet(points=pts, normals=pts, offsets=np.zeros(len(pts)))
-        return verify_samples(samples, multiset, m, tol)
-    if isinstance(body, SupportFunctionBody):
-        n = tol.samples if tol.samples is not None else DEFAULT_SAMPLES[2]
-        thetas = 2 * np.pi * np.arange(n, dtype=np.float64) / n
-        pts = body.boundary_points(thetas)
-        normals = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        samples = SampleSet(points=pts, normals=normals, offsets=np.zeros(n))
-        return verify_samples(samples, multiset, m, tol)
+    if isinstance(body, (Ball, SupportFunctionBody)):
+        units, mults = multiset.as_arrays()
+        count, normal, evaluated = _exact_sphere_minimum(units, mults, tol.margin)
+        point = normal
+        if isinstance(body, SupportFunctionBody):
+            # u lights the one boundary point with outward normal n iff
+            # <u, n> < 0, so the body is lit exactly as its circle of normals
+            theta = math.atan2(normal[1], normal[0])
+            point = body.boundary_points(np.asarray([theta]))[0]
+        return _report(m, point.tolist(), count, -(units @ normal), mults, evaluated)
     from .capbody import CapBodySpec, validate_cap_body  # deferred: capbody builds on this module
 
     if isinstance(body, CapBodySpec):

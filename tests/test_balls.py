@@ -17,7 +17,6 @@ from illum.balls import (
     inverse_stereographic,
     lift_cover_to_directions,
     recursive_ball_construction,
-    verify_ball_construction,
 )
 from illum.errors import DomainError, PreconditionViolation
 from illum.geometry import Ball, DirectionMultiset, Tolerance, verify_mfold
@@ -199,17 +198,7 @@ class TestRecursiveConstruction:
         with pytest.raises(DomainError):
             recursive_ball_construction(1, 2)
 
-    def test_verify_helper_formula_trusted_above_cap(self):
-        multiset = b3_direction_multiset(1)
-        assert verify_ball_construction(multiset, 1, 6) is None
-
-
-@pytest.mark.slow
-class TestSlowTier:
     def test_d5_construction(self):
         multiset = recursive_ball_construction(1, 5)
         assert multiset.total == ball_upper_bound(1, 5) == 6
-        report = verify_mfold(
-            Ball(5), multiset, 1, Tolerance(margin=1e-8, samples=2_000_000)
-        )
-        assert report.passed
+        assert verify_mfold(Ball(5), multiset, 1, Tolerance(margin=1e-8)).passed

@@ -67,15 +67,9 @@ class TestPolygonCommands:
 class TestRoundTrips:
     def test_ball_construct_then_verify(self, tmp_path):
         out = tmp_path / "b3.json"
-        built = run(
-            ["ball-construct", "-m", "2", "-d", "3", "--out", str(out),
-             "--samples", "20000"]
-        )
+        built = run(["ball-construct", "-m", "2", "-d", "3", "--out", str(out)])
         assert built.status == "ok" and built.payload["verified"]
-        verified = run(
-            ["ball-verify", "--dirs", str(out), "-m", "2", "-d", "3",
-             "--samples", "20000"]
-        )
+        verified = run(["ball-verify", "--dirs", str(out), "-m", "2", "-d", "3"])
         assert verified.status == "ok"
         assert verified.payload["report"]["pass"] is True
 
@@ -98,23 +92,31 @@ class TestRoundTrips:
     def test_ball_lift_chain(self, tmp_path):
         b3 = tmp_path / "b3.json"
         b4 = tmp_path / "b4.json"
-        run(["ball-construct", "-m", "1", "-d", "3", "--out", str(b3),
-             "--samples", "20000"])
+        run(["ball-construct", "-m", "1", "-d", "3", "--out", str(b3)])
         lifted = run(
             ["ball-lift", "--dirs", str(b3), "-m", "1", "-d", "3",
              "--out", str(b4)]
         )
         assert lifted.status == "ok" and lifted.payload["size"] == 5
-        verified = run(
-            ["ball-verify", "--dirs", str(b4), "-m", "1", "-d", "4",
-             "--samples", "50000"]
-        )
+        verified = run(["ball-verify", "--dirs", str(b4), "-m", "1", "-d", "4"])
         assert verified.status == "ok"
+
+    def test_ball_verify_in_dimension_six(self, tmp_path):
+        # the +-e_i cross-polytope lights every point of S^5 exactly once
+        path = tmp_path / "cross6.json"
+        entries = [
+            {"dir": [s * (i == j) for j in range(6)]} for i in range(6) for s in (1, -1)
+        ]
+        path.write_text(json.dumps({"entries": entries}))
+        once = run(["ball-verify", "--dirs", str(path), "-m", "1", "-d", "6"])
+        assert once.exit_code == 0 and once.payload["report"]["worst_count"] == 1
+        twice = run(["ball-verify", "--dirs", str(path), "-m", "2", "-d", "6"])
+        assert twice.exit_code == 1 and twice.payload["report"]["worst_count"] == 1
 
     def test_smooth_construct_self_verifies(self):
         result = run(
             ["smooth-construct", "--body", "ellipse", "-a", "2", "-b", "1",
-             "-m", "2", "--samples", "20000"]
+             "-m", "2"]
         )
         assert result.status == "ok"
         assert result.payload["report"]["pass"] is True
@@ -208,12 +210,29 @@ class TestErrors:
     def test_nan_direction_exits_2(self, tmp_path):
         path = tmp_path / "dirs.json"
         path.write_text('{"entries": [{"dir": [NaN, 0, 0]}, {"dir": [0, 0, -1]}]}')
-        result = run(
-            ["ball-verify", "--dirs", str(path), "-m", "1", "-d", "3",
-             "--samples", "100"]
-        )
+        result = run(["ball-verify", "--dirs", str(path), "-m", "1", "-d", "3"])
         assert result.status == "error" and result.exit_code == 2
         assert "not finite" in result.payload["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ball-verify", "--dirs", "{path}", "-m", "1", "-d", "3", "--samples", "100"],
+            ["ball-construct", "-m", "1", "--samples", "100"],
+            ["ball-construct", "-m", "1", "--no-verify"],
+            ["smooth-construct", "-m", "1", "--samples", "100"],
+            ["smooth-construct", "-m", "1", "--no-verify"],
+        ],
+        ids=["ball-verify-samples", "ball-construct-samples",
+             "ball-construct-no-verify", "smooth-construct-samples",
+             "smooth-construct-no-verify"],
+    )
+    def test_removed_sample_and_verify_flags_exit_2(self, tmp_path, argv):
+        # balls and smooth bodies are verified exactly, always
+        path = tmp_path / "dirs.json"
+        path.write_text('{"entries": [{"dir": [0, 0, -1]}]}')
+        result = run([str(path) if a == "{path}" else a for a in argv])
+        assert result.status == "error" and result.exit_code == 2
 
     @pytest.mark.parametrize("margin", ["nan", "inf"])
     def test_non_finite_margin_exits_2(self, tmp_path, margin):
@@ -221,7 +240,7 @@ class TestErrors:
         path.write_text('{"entries": [{"dir": [0, 0, -1]}]}')
         result = run(
             ["ball-verify", "--dirs", str(path), "-m", "1", "-d", "3",
-             "--samples", "100", "--margin", margin]
+             "--margin", margin]
         )
         assert result.status == "error" and result.exit_code == 2
         assert "margin" in result.payload["error"]
@@ -253,9 +272,10 @@ class TestDeterminism:
 
 
 class TestGoldenStdout:
-    """Stdout bytes of a cover-and-lift step, of the check of its result and
-    of two exact polygon solves, recorded from a run of the previous
-    implementation (tests/data)."""
+    """Stdout bytes of a cover-and-lift step, of the exact check of its
+    result and of two exact polygon solves (tests/data).  The lift and the
+    solves were recorded from earlier implementations; the check's report
+    (least count, its witness, candidate count) from the exact verifier."""
 
     def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
         from illum.balls import b3_direction_multiset
