@@ -8,12 +8,10 @@ executable ledger of the supporting structure lemmas.
 """
 
 from .balls import (
-    CoverSpec,
     b3_direction_multiset,
     ball_upper_bound,
-    illumination_to_cover,
     inverse_stereographic,
-    lift_cover_to_directions,
+    lift_directions,
     recursive_ball_construction,
 )
 from .capbody import (
@@ -32,7 +30,6 @@ from .capbody import (
 )
 from .errors import (
     ConstructionFailure,
-    CoverConversionFailure,
     DomainError,
     GeometryInternalError,
     IllumError,

@@ -1,28 +1,19 @@
-"""Unit-ball constructions: explicit 3D multiset, covering conversion,
-and the stereographic lift that adds one dimension per m extra directions.
+"""Unit-ball constructions: explicit 3D multiset and the lift that adds
+one dimension per m extra directions.
 
 The 3D family places 2m+1 directions on a slightly tilted equatorial fan
 (alternating small positive and tiny negative vertical components) plus
-ceil(m/2) copies of straight down.  Higher dimensions convert a verified
-multiset into an m-fold cover of the ball by translated open balls, lift
-the covering disks through the inverse stereographic projection to
-spherical caps, and aim one direction against each cap center.
+ceil(m/2) copies of straight down.  Higher dimensions tilt every direction
+of a verified multiset toward the pole and add m copies of straight down.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .errors import (
-    CoverConversionFailure,
-    DomainError,
-    GeometryInternalError,
-    PreconditionViolation,
-)
+from .errors import DomainError, PreconditionViolation
 from .geometry import (
     Ball,
     Direction,
@@ -30,9 +21,6 @@ from .geometry import (
     Tolerance,
     verify_mfold,
 )
-
-#: grid spacings for solid-ball covering verification, per dimension
-COVER_GRID_SPACING = {2: 0.005, 3: 0.01, 4: 0.08}
 
 
 def ball_upper_bound(m: int, d: int) -> int:
@@ -74,88 +62,6 @@ def b3_direction_multiset(m: int, eps: float | None = None) -> DirectionMultiset
     return DirectionMultiset(entries)
 
 
-@dataclass
-class CoverSpec:
-    """m-fold cover of the unit ball by open unit balls at the translates."""
-
-    dim: int
-    translates: np.ndarray
-    demand: int
-
-    def __post_init__(self):
-        self.translates = np.asarray(self.translates, dtype=np.float64)
-        if self.translates.ndim != 2 or self.translates.shape[1] != self.dim:
-            raise DomainError("translates must be an (n, dim) array")
-        if len(self.translates) == 0:
-            raise DomainError("cover needs at least one translate")
-        if self.demand < 1:
-            raise DomainError("demand must be >= 1")
-
-
-def ball_grid(dim: int, spacing: float | None = None) -> np.ndarray:
-    """Deterministic axis-aligned grid sample of the closed unit ball."""
-    if spacing is None:
-        try:
-            spacing = COVER_GRID_SPACING[dim]
-        except KeyError:
-            raise DomainError(
-                f"no default covering grid for dimension {dim}"
-            ) from None
-    per_axis = round(2.0 / spacing) + 1
-    axis = np.linspace(-1.0, 1.0, per_axis)
-    slabs = []
-    # slab by slab along the first axis, so the whole cube (twice the ball's
-    # points at d=3) is never held in memory
-    for x in axis:
-        mesh = np.meshgrid([x], *([axis] * (dim - 1)), indexing="ij")
-        points = np.stack(mesh, axis=-1).reshape(-1, dim)
-        slabs.append(points[np.einsum("ij,ij->i", points, points) <= 1.0])
-    return np.concatenate(slabs)
-
-
-def cover_min_count(grid: np.ndarray, centers: np.ndarray, margin: float):
-    """Minimum m-fold coverage over the grid and its worst point."""
-    counts = _kernels.count_covering(grid, centers, margin)
-    worst = int(counts.argmin())
-    return int(counts[worst]), grid[worst]
-
-
-def illumination_to_cover(
-    multiset: DirectionMultiset,
-    m: int,
-    d: int,
-    tol: Tolerance = Tolerance(),
-    spacing: float | None = None,
-) -> CoverSpec:
-    """Turn a verified m-fold illuminating multiset into an m-fold cover.
-
-    Translates are -delta * u for a halving-searched step delta; the
-    candidate cover is accepted once a solid-ball grid is m-fold covered
-    with radial margin ``tol.margin``.
-    """
-    report = verify_mfold(Ball(d), multiset, m, tol)
-    if not report.passed:
-        raise PreconditionViolation(
-            f"multiset does not m-fold illuminate the {d}-ball "
-            f"(worst count {report.worst_count})"
-        )
-    units, mults = multiset.as_arrays()
-    expanded = np.repeat(units, mults, axis=0)
-    grid = ball_grid(d, spacing)
-    delta = 0.5
-    while delta >= 1e-9:
-        centers = -delta * expanded
-        lowest, _ = cover_min_count(grid, centers, tol.margin)
-        if lowest >= m:
-            return CoverSpec(dim=d, translates=centers, demand=m)
-        delta /= 2
-    raise CoverConversionFailure("translate step search exhausted below 1e-9")
-
-
-# --------------------------------------------------------------------------
-# stereographic lift
-# --------------------------------------------------------------------------
-
 def inverse_stereographic(x) -> np.ndarray:
     """Map a point of the equatorial hyperplane (d coordinates) to the unit
     d-sphere in d+1 coordinates, projecting from the north pole."""
@@ -172,47 +78,32 @@ def forward_stereographic(y) -> np.ndarray:
     return y[:-1] / (1.0 - y[-1])
 
 
-def cap_center_from_disk(u) -> tuple[np.ndarray, float]:
-    """Spherical-cap image of the open unit disk centered at u.
+def lift_directions(
+    multiset: DirectionMultiset, m: int, tol: Tolerance = Tolerance()
+) -> DirectionMultiset:
+    """Lift an m-fold illuminating multiset of the d-ball to one of the
+    (d+1)-ball: each direction w tilted toward the pole as (w, 1), plus m
+    copies of straight down.
 
-    Lifts the +-axis boundary offsets of the disk, fits the hyperplane
-    through the images (SVD null vector), and orients the unit normal away
-    from the projection pole.  Returns (center, cos of angular radius).
+    At a point y = (y', t) of the d-sphere with t > 0 the m down copies
+    work.  With t <= 0 every w with <w, y'> < 0 gives <(w, 1), y> < 0, and
+    at least m do; at y = -e_{d+1} every tilted direction works.  The tilt
+    is the paper's lift of the disk at -delta*w, for delta = sqrt(3) - 1:
+    :func:`inverse_stereographic` maps that disk onto the cap
+    <(w, 1), y> < (1 - sqrt(3)) / 2, which (w, 1) lights.
     """
-    u = np.asarray(u, dtype=np.float64)
-    d = len(u)
-    offsets = np.concatenate([np.eye(d), -np.eye(d)])
-    images = np.stack([inverse_stereographic(u + o) for o in offsets])
-    centered = images - images.mean(axis=0)
-    svals, vecs = np.linalg.svd(centered, full_matrices=True)[1:]
-    if svals[-2] < 1e-9:
-        raise GeometryInternalError("degenerate hyperplane fit for cap center")
-    normal = vecs[-1]
-    level = float(np.mean(images @ normal))
-    north = np.zeros(d + 1)
-    north[-1] = 1.0
-    if float(north @ normal) > level:
-        normal, level = -normal, -level
-    return normal, level
-
-
-def lift_cover_to_directions(cover: CoverSpec, tol: Tolerance = Tolerance()) -> DirectionMultiset:
-    """Lift an m-fold cover of the d-ball to an m-fold illuminating multiset
-    for the (d+1)-ball: oppose each covering disk's cap center, plus m
-    copies of straight down."""
-    grid = ball_grid(cover.dim)
-    lowest, worst = cover_min_count(grid, cover.translates, tol.margin)
-    if lowest < cover.demand:
+    d = multiset.dim
+    report = verify_mfold(Ball(d), multiset, m, tol)
+    if not report.passed:
         raise PreconditionViolation(
-            f"cover is not {cover.demand}-fold at grid point {worst}"
+            f"multiset does not m-fold illuminate the {d}-ball "
+            f"(worst count {report.worst_count})"
         )
-    entries = []
-    for u in cover.translates:
-        center, _ = cap_center_from_disk(u)
-        entries.append((Direction(tuple(-center)), 1))
-    down = np.zeros(cover.dim + 1)
-    down[-1] = -1.0
-    entries.append((Direction(tuple(down)), cover.demand))
+    units, mults = multiset.as_arrays()
+    entries = [
+        (Direction((*w, 1.0)), k) for w, k in zip(units.tolist(), mults.tolist())
+    ]
+    entries.append((Direction((0.0,) * d + (-1.0,)), m))
     return DirectionMultiset(entries)
 
 
@@ -220,13 +111,12 @@ def recursive_ball_construction(
     m: int, d: int, tol: Tolerance = Tolerance()
 ) -> DirectionMultiset:
     """(d-1)m + 1 + ceil(m/2) directions for the d-ball, built from the
-    3-ball fan by repeated cover-and-lift steps."""
+    3-ball fan by repeated lift steps."""
     if d < 3:
         raise DomainError("the recursive construction needs d >= 3")
     multiset = b3_direction_multiset(m)
-    for dim in range(3, d):
-        cover = illumination_to_cover(multiset, m, dim, tol)
-        multiset = lift_cover_to_directions(cover, tol)
+    for _ in range(3, d):
+        multiset = lift_directions(multiset, m, tol)
     return multiset
 
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import balls, capbody, jsonio, polygons
-from .errors import IllumError
+from .errors import DomainError, IllumError
 from .geometry import Ball, Tolerance, ellipse_body, unit_circle_body, verify_mfold
 from .lemmas import run_lemma_suite
 
@@ -29,16 +29,6 @@ class CommandResult:
     @property
     def exit_code(self) -> int:
         return {"ok": 0, "fail": 1, "error": 2}[self.status]
-
-
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _write_json(path: str, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dump_json(doc) + "\n")
 
 
 def _tolerance(args) -> Tolerance:
@@ -135,11 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- command handlers -------------------------------------------------------
 
 def _cmd_polygon_solve(args) -> CommandResult:
-    poly = jsonio.polygon_from_json(_load_json(args.polygon))
+    poly = jsonio.polygon_from_json(jsonio.read_json(args.polygon))
     solution = polygons.polygon_piercing_solution(poly, args.m)
     payload = jsonio.solution_to_json(solution)
     if args.emit_directions:
-        _write_json(
+        jsonio.write_json(
             args.emit_directions,
             jsonio.multiset_to_json(solution.as_direction_multiset()),
         )
@@ -156,7 +146,7 @@ def _cmd_polygon_formula(args) -> CommandResult:
 
 
 def _cmd_polygon_check(args) -> CommandResult:
-    poly = jsonio.polygon_from_json(_load_json(args.polygon))
+    poly = jsonio.polygon_from_json(jsonio.read_json(args.polygon))
     payload = {"schema": jsonio.SCHEMA, "m": args.m, "n": poly.n}
     if args.search:
         cuts = polygons.find_valid_grouping(poly, args.m)
@@ -191,7 +181,29 @@ def _cmd_smooth_construct(args) -> CommandResult:
         f"verification: {'pass' if report.passed else 'FAIL'}",
     ]
     if args.out:
-        _write_json(args.out, jsonio.multiset_to_json(multiset))
+        jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
+    return CommandResult("ok" if report.passed else "fail", payload, diagnostics)
+
+
+def _ball_result(args, multiset, d: int) -> CommandResult:
+    """Verify a d-ball multiset exactly at --margin, write it to --out and
+    report it."""
+    report = verify_mfold(Ball(d), multiset, args.m, _tolerance(args))
+    payload = {
+        "schema": jsonio.SCHEMA,
+        "m": args.m,
+        "d": d,
+        "size": multiset.total,
+        "directions": jsonio.multiset_to_json(multiset)["entries"],
+        "verified": report.passed,
+        "report": jsonio.report_to_json(report),
+    }
+    diagnostics = [
+        f"{multiset.total} directions for the {d}-ball",
+        f"verification: {'pass' if report.passed else 'FAIL'}",
+    ]
+    if args.out:
+        jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
     return CommandResult("ok" if report.passed else "fail", payload, diagnostics)
 
 
@@ -200,27 +212,11 @@ def _cmd_ball_construct(args) -> CommandResult:
         multiset = balls.b3_direction_multiset(args.m, args.eps)
     else:
         multiset = balls.recursive_ball_construction(args.m, args.d)
-    payload = {
-        "schema": jsonio.SCHEMA,
-        "m": args.m,
-        "d": args.d,
-        "size": multiset.total,
-        "directions": jsonio.multiset_to_json(multiset)["entries"],
-    }
-    report = verify_mfold(Ball(args.d), multiset, args.m, _tolerance(args))
-    payload["verified"] = report.passed
-    payload["report"] = jsonio.report_to_json(report)
-    diagnostics = [
-        f"{multiset.total} directions for the {args.d}-ball",
-        f"verification: {'pass' if report.passed else 'FAIL'}",
-    ]
-    if args.out:
-        _write_json(args.out, jsonio.multiset_to_json(multiset))
-    return CommandResult("ok" if report.passed else "fail", payload, diagnostics)
+    return _ball_result(args, multiset, args.d)
 
 
 def _cmd_ball_verify(args) -> CommandResult:
-    multiset = jsonio.multiset_from_json(_load_json(args.dirs))
+    multiset = jsonio.multiset_from_json(jsonio.read_json(args.dirs))
     report = verify_mfold(Ball(args.d), multiset, args.m, _tolerance(args))
     return CommandResult(
         "ok" if report.passed else "fail",
@@ -230,23 +226,13 @@ def _cmd_ball_verify(args) -> CommandResult:
 
 
 def _cmd_ball_lift(args) -> CommandResult:
-    multiset = jsonio.multiset_from_json(_load_json(args.dirs))
-    tol = Tolerance(margin=args.margin)
-    cover = balls.illumination_to_cover(multiset, args.m, args.d, tol)
-    lifted = balls.lift_cover_to_directions(cover, tol)
-    payload = {
-        "schema": jsonio.SCHEMA,
-        "m": args.m,
-        "d": args.d + 1,
-        "size": lifted.total,
-        "translates": [[float(c) for c in t] for t in cover.translates],
-        "directions": jsonio.multiset_to_json(lifted)["entries"],
-    }
-    if args.out:
-        _write_json(args.out, jsonio.multiset_to_json(lifted))
-    return CommandResult(
-        "ok", payload, [f"lifted {len(cover.translates)} translates to d={args.d + 1}"]
-    )
+    multiset = jsonio.multiset_from_json(jsonio.read_json(args.dirs))
+    if multiset.dim != args.d:
+        raise DomainError(
+            f"the directions have dimension {multiset.dim}, not -d {args.d}"
+        )
+    lifted = balls.lift_directions(multiset, args.m, _tolerance(args))
+    return _ball_result(args, lifted, args.d + 1)
 
 
 def _cmd_capbody_construct(args) -> CommandResult:
@@ -274,13 +260,13 @@ def _cmd_capbody_construct(args) -> CommandResult:
         "directions": jsonio.multiset_to_json(multiset)["entries"],
     }
     if args.out:
-        _write_json(args.out, jsonio.multiset_to_json(multiset))
+        jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
     return CommandResult("ok", payload, [f"{multiset.total} directions (= {expected})"])
 
 
 def _cmd_capbody_verify(args) -> CommandResult:
-    spec = jsonio.capbody_from_json(_load_json(args.spec))
-    multiset = jsonio.multiset_from_json(_load_json(args.dirs))
+    spec = jsonio.capbody_from_json(jsonio.read_json(args.spec))
+    multiset = jsonio.multiset_from_json(jsonio.read_json(args.dirs))
     report = verify_mfold(spec, multiset, args.m, _tolerance(args))
     return CommandResult(
         "ok" if report.passed else "fail",
@@ -290,7 +276,7 @@ def _cmd_capbody_verify(args) -> CommandResult:
 
 
 def _cmd_capbody_validate(args) -> CommandResult:
-    spec = jsonio.capbody_from_json(_load_json(args.spec))
+    spec = jsonio.capbody_from_json(jsonio.read_json(args.spec))
     valid = capbody.validate_cap_body(spec)
     radii = [
         jsonio.format_angle(capbody.closed_cap_of_ball(a).radius)

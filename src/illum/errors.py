@@ -29,9 +29,5 @@ class ConstructionFailure(IllumError, RuntimeError):
         self.report = report
 
 
-class CoverConversionFailure(IllumError, RuntimeError):
-    """The illumination-to-covering translate search was exhausted."""
-
-
 class GeometryInternalError(IllumError, RuntimeError):
     """An internal geometric step degenerated (should not happen for valid input)."""

@@ -21,6 +21,16 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_json(path: str, doc: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_json(doc) + "\n")
+
+
 def _check_schema(doc: dict, what: str):
     if not isinstance(doc, dict):
         raise DomainError(f"{what}: expected a JSON object")

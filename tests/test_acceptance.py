@@ -76,7 +76,7 @@ def test_criterion_02_triangle_and_square():
 
 def test_criterion_03_smooth_bodies():
     t0 = time.perf_counter()
-    tol = Tolerance(margin=1e-6, samples=100_000)
+    tol = Tolerance(margin=1e-6)
     ok = True
     for body in (unit_circle_body(), ellipse_body(2, 1)):
         for m in range(1, 5):
@@ -85,13 +85,13 @@ def test_criterion_03_smooth_bodies():
                 ok = False
             if not verify_mfold(body, multiset, m, tol).passed:
                 ok = False
-    _conclude(3, "smooth 2D bodies: 2m+1 directions verify at N=1e5, tau=1e-6",
+    _conclude(3, "smooth 2D bodies: 2m+1 directions verify exactly at tau=1e-6",
               ok, time.perf_counter() - t0, 5)
 
 
 def test_criterion_04_b3_construction():
     t0 = time.perf_counter()
-    tol = Tolerance(margin=1e-8, samples=200_000)
+    tol = Tolerance(margin=1e-8)
     ok = True
     for m in range(1, 5):
         multiset = b3_direction_multiset(m)
@@ -99,7 +99,7 @@ def test_criterion_04_b3_construction():
             ok = False
         if not verify_mfold(Ball(3), multiset, m, tol).passed:
             ok = False
-    _conclude(4, "3-ball construction sizes and verification at N=2e5, tau=1e-8",
+    _conclude(4, "3-ball construction sizes and exact verification at tau=1e-8",
               ok, time.perf_counter() - t0, 10)
 
 
@@ -107,7 +107,7 @@ def test_criterion_05_m2_ball3_pinch():
     t0 = time.perf_counter()
     multiset = b3_direction_multiset(2)
     verified = verify_mfold(
-        Ball(3), multiset, 2, Tolerance(margin=1e-8, samples=200_000)
+        Ball(3), multiset, 2, Tolerance(margin=1e-8)
     ).passed
     ok = lower_bound(2, 3) == 6 and multiset.total == 6 and verified
     _conclude(5, "two-fold number of the 3-ball pinched to exactly 6",
@@ -116,7 +116,7 @@ def test_criterion_05_m2_ball3_pinch():
 
 def test_criterion_06_stereographic_lift():
     t0 = time.perf_counter()
-    tol = Tolerance(margin=1e-8, samples=1_000_000)
+    tol = Tolerance(margin=1e-8)
     ok = True
     for m, want in ((1, 5), (2, 8)):
         multiset = recursive_ball_construction(m, 4)
@@ -124,7 +124,7 @@ def test_criterion_06_stereographic_lift():
             ok = False
         if not verify_mfold(Ball(4), multiset, m, tol).passed:
             ok = False
-    _conclude(6, "lifted 4-ball multisets (sizes 5 and 8) verify at N=1e6, tau=1e-8",
+    _conclude(6, "lifted 4-ball multisets (sizes 5 and 8) verify exactly at tau=1e-8",
               ok, time.perf_counter() - t0, 120)
 
 

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from illum.balls import (
-    COVER_GRID_SPACING,
     b3_band_report,
     b3_direction_multiset,
     b3_eps_bound,
-    ball_grid,
     ball_upper_bound,
-    cap_center_from_disk,
-    cover_min_count,
     forward_stereographic,
-    illumination_to_cover,
     inverse_stereographic,
-    lift_cover_to_directions,
+    lift_directions,
     recursive_ball_construction,
 )
 from illum.errors import DomainError, PreconditionViolation
-from illum.geometry import Ball, DirectionMultiset, Tolerance, verify_mfold
-from illum.polygons import lower_bound, smooth_2d_directions
+from illum.geometry import (
+    Ball,
+    Direction,
+    DirectionMultiset,
+    Tolerance,
+    verify_mfold,
+)
 from illum.geometry import unit_circle_body
+from illum.polygons import lower_bound, smooth_2d_directions
 
 
 class TestUpperBoundFormula:
@@ -46,7 +47,7 @@ class TestB3Construction:
         multiset = b3_direction_multiset(m)
         assert multiset.total == 2 * m + 1 + -(-m // 2)
         report = verify_mfold(
-            Ball(3), multiset, m, Tolerance(margin=1e-8, samples=50_000)
+            Ball(3), multiset, m, Tolerance(margin=1e-8)
         )
         assert report.passed
 
@@ -91,95 +92,127 @@ class TestStereographic:
             assert err < 1e-10
 
 
-class TestCapCenter:
-    def test_hemisphere_for_centered_disk(self):
-        center, level = cap_center_from_disk(np.zeros(3))
-        assert np.allclose(center, [0, 0, 0, -1])
-        assert abs(level) < 1e-12
+def _cross_polytope(d):
+    return DirectionMultiset.from_vectors(
+        [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    )
 
-    def test_boundary_maps_onto_cap_circle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            d = int(rng.integers(2, 5))
-            u = rng.normal(size=d)
-            u *= rng.uniform(0, 3) / np.linalg.norm(u)
-            center, level = cap_center_from_disk(u)
-            radius = math.acos(min(1.0, max(-1.0, level)))
-            for _ in range(25):
-                w = rng.normal(size=d)
-                w /= np.linalg.norm(w)
-                y = inverse_stereographic(u + w)
-                ang = math.acos(min(1.0, max(-1.0, float(y @ center))))
-                assert abs(ang - radius) < 1e-8
 
-    def test_matches_closed_form(self):
-        # the disk |x - u| < 1 lifts to the cap with (unnormalized) center
-        # (2u, |u|^2 - 2); the hyperplane fit must reproduce it
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            d = int(rng.integers(2, 5))
-            u = rng.normal(size=d) * rng.uniform(0, 3)
-            center, _ = cap_center_from_disk(u)
-            closed_form = np.concatenate([2 * u, [u @ u - 2.0]])
-            closed_form /= np.linalg.norm(closed_form)
-            assert np.abs(center - closed_form).max() < 1e-9
+def _regular_fan(m):
+    k = 2 * m + 1
+    angles = [2 * math.pi * i / k for i in range(k)]
+    return DirectionMultiset.from_vectors([(math.cos(a), math.sin(a)) for a in angles])
+
+
+LIFT_CASES = (
+    [(b3_direction_multiset(m), m) for m in (1, 2, 3, 4)]
+    + [(_cross_polytope(d), 1) for d in (2, 3, 4, 5)]
+    + [(_regular_fan(m), m) for m in (1, 2, 3, 4)]
+)
+LIFT_IDS = (
+    [f"b3-m{m}" for m in (1, 2, 3, 4)]
+    + [f"cross-d{d}" for d in (2, 3, 4, 5)]
+    + [f"fan-m{m}" for m in (1, 2, 3, 4)]
+)
+
+
+def _lower_hemisphere(d, rng, n=20_000):
+    """Sampled points (y', t) of the d-sphere with t <= 0, plus the south
+    pole and points on the equator."""
+    y = rng.normal(size=(n, d + 1))
+    y[: n // 4, -1] = 0.0
+    y[-1] = 0.0
+    y[-1, -1] = -1.0
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    y[:, -1] = -np.abs(y[:, -1])
+    return y
 
 
 class TestCovering:
-    def test_grid_is_deterministic_and_inside(self):
-        g1 = ball_grid(3, 0.2)
-        g2 = ball_grid(3, 0.2)
-        assert g1.tobytes() == g2.tobytes()
-        assert (np.linalg.norm(g1, axis=1) <= 1 + 1e-12).all()
-
-    @pytest.mark.parametrize(
-        "dim, spacing",
-        [(d, s) for d in (2, 3, 4) for s in (None, 0.2, 0.1, 0.07)],
-    )
-    def test_grid_bytes_equal_full_cube_filter(self, dim, spacing):
-        # the whole-cube build the slab build replaced, kept as the reference
-        step = COVER_GRID_SPACING[dim] if spacing is None else spacing
-        axis = np.linspace(-1.0, 1.0, round(2.0 / step) + 1)
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        cube = np.stack(mesh, axis=-1).reshape(-1, dim)
-        expected = cube[np.einsum("ij,ij->i", cube, cube) <= 1.0]
-        got = ball_grid(dim, spacing)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+    """The tilted directions (w, 1) are the lifts of the translates at
+    -delta*w of the paper's m-fold cover: without the down copies they
+    light every point of the closed lower hemisphere m times."""
 
     def test_b3_m1_gives_four_translates(self):
-        cover = illumination_to_cover(b3_direction_multiset(1), 1, 3)
-        assert len(cover.translates) == 4
-        lowest, _ = cover_min_count(ball_grid(3), cover.translates, 1e-6)
-        assert lowest >= 1
+        lifted = lift_directions(b3_direction_multiset(1), 1)
+        units, mults = lifted.as_arrays()
+        up = units[:, -1] > 0
+        assert int(mults[up].sum()) == 4
+        y = _lower_hemisphere(3, np.random.default_rng(3))
+        counts = ((y @ units[up].T) < -1e-9) @ mults[up]
+        assert counts.min() >= 1
 
     def test_planar_three_translates(self):
         multiset = smooth_2d_directions(unit_circle_body(), 1)
-        cover = illumination_to_cover(multiset, 1, 2)
-        assert len(cover.translates) == 3
+        lifted = lift_directions(multiset, 1)
+        units, mults = lifted.as_arrays()
+        up = units[:, -1] > 0
+        assert int(mults[up].sum()) == 3 and lifted.total == 4
+        y = _lower_hemisphere(2, np.random.default_rng(4))
+        counts = ((y @ units[up].T) < -1e-9) @ mults[up]
+        assert counts.min() >= 1
 
     def test_unverified_multiset_rejected(self):
         two = DirectionMultiset.from_vectors([(1.0, 0.0), (-1.0, 0.0)])
         with pytest.raises(PreconditionViolation):
-            illumination_to_cover(two, 1, 2)
+            lift_directions(two, 1)
 
 
 class TestLift:
     def test_lift_of_b3_m1(self):
-        cover = illumination_to_cover(b3_direction_multiset(1), 1, 3)
-        lifted = lift_cover_to_directions(cover)
+        lifted = lift_directions(b3_direction_multiset(1), 1)
         assert lifted.dim == 4 and lifted.total == 5
-        report = verify_mfold(
-            Ball(4), lifted, 1, Tolerance(margin=1e-8, samples=100_000)
-        )
+        report = verify_mfold(Ball(4), lifted, 1, Tolerance(margin=1e-8))
         assert report.passed
 
     def test_bad_cover_rejected(self):
-        from illum.balls import CoverSpec
-
-        bad = CoverSpec(dim=2, translates=np.array([[0.0, 0.9]]), demand=1)
+        # the regular 3-fan lights the disk once, not twice
         with pytest.raises(PreconditionViolation):
-            lift_cover_to_directions(bad)
+            lift_directions(_regular_fan(1), 2)
+
+    def test_tilt_is_the_stereographic_lift(self):
+        # the disk at -delta*w, delta = sqrt(3) - 1, lifts onto the cap
+        # <(w, 1), y> < (1 - sqrt(3)) / 2, which (w, 1) lights
+        rng = np.random.default_rng(12)
+        delta = math.sqrt(3) - 1
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            w = rng.normal(size=d)
+            w /= np.linalg.norm(w)
+            multiset = DirectionMultiset(
+                [(Direction(tuple(w)), 1), *_cross_polytope(d).entries]
+            )
+            v = np.asarray(lift_directions(multiset, 1).entries[0][0].coords)
+            for _ in range(10):
+                e = rng.normal(size=d)
+                e /= np.linalg.norm(e)
+                level = inverse_stereographic(-delta * w + e) @ v
+                assert abs(level - (1 - math.sqrt(3)) / 2) < 1e-12
+                inner = inverse_stereographic(-delta * w + rng.uniform(0, 1) * e)
+                assert inner @ v < (1 - math.sqrt(3)) / 2 + 1e-12
+
+    @pytest.mark.parametrize("multiset, m", LIFT_CASES, ids=LIFT_IDS)
+    def test_exact_at_zero_margin_and_tight_at_the_pole(self, multiset, m):
+        d = multiset.dim
+        lifted = lift_directions(multiset, m, Tolerance(margin=0.0))
+        assert lifted.dim == d + 1 and lifted.total == multiset.total + m
+        report = verify_mfold(Ball(d + 1), lifted, m, Tolerance(margin=0.0))
+        assert report.passed and report.worst_count == m
+        # the tilted directions all point up, so m - 1 down copies leave the
+        # north pole lit m - 1 times
+        *tilted, (down, copies) = lifted.entries
+        assert down.coords == (0.0,) * d + (-1.0,) and copies == m
+        fewer = DirectionMultiset(tilted + ([(down, m - 1)] if m > 1 else []))
+        short = verify_mfold(Ball(d + 1), fewer, m, Tolerance(margin=0.0))
+        assert short.worst_count == m - 1
+        units, mults = fewer.as_arrays()
+        assert int(mults[units[:, -1] < 0].sum()) == m - 1
+
+    def test_tilt_keeps_multiplicities(self):
+        multiset = b3_direction_multiset(3)
+        lifted = lift_directions(multiset, 3)
+        for (w, k), (v, j) in zip(multiset.entries, lifted.entries):
+            assert v.coords == (*w.unit().tolist(), 1.0) and j == k
 
 
 class TestRecursiveConstruction:

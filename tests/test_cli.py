@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from illum.cli import run
-from illum.geometry import ConvexPolygon
-from illum.jsonio import dump_json, polygon_to_json
+from illum.geometry import ConvexPolygon, unit_circle_body
+from illum.jsonio import dump_json, multiset_to_json, polygon_to_json
+from illum.polygons import smooth_2d_directions
 
 
 @pytest.fixture
@@ -100,6 +101,41 @@ class TestRoundTrips:
         assert lifted.status == "ok" and lifted.payload["size"] == 5
         verified = run(["ball-verify", "--dirs", str(b4), "-m", "1", "-d", "4"])
         assert verified.status == "ok"
+
+    def test_ball_lift_of_cross_polytope_to_dimension_six(self, tmp_path):
+        cross5 = tmp_path / "cross5.json"
+        lifted = tmp_path / "lifted6.json"
+        entries = [
+            {"dir": [s * (i == j) for j in range(5)]} for i in range(5) for s in (1, -1)
+        ]
+        cross5.write_text(json.dumps({"entries": entries}))
+        result = run(["ball-lift", "--dirs", str(cross5), "-m", "1", "-d", "5",
+                      "--out", str(lifted)])
+        assert result.exit_code == 0 and result.payload["verified"] is True
+        assert result.payload["d"] == 6 and result.payload["size"] == 11
+        verified = run(["ball-verify", "--dirs", str(lifted), "-m", "1", "-d", "6"])
+        assert verified.exit_code == 0
+
+    def test_ball_lift_reports_a_failed_check(self, tmp_path):
+        # the planar 3-set has margin 0.5; tilted by 45 degrees it keeps less
+        # than 0.3 at height 0.3, where straight down does not count yet
+        path = tmp_path / "three.json"
+        path.write_text(dump_json(multiset_to_json(
+            smooth_2d_directions(unit_circle_body(), 1))))
+        plain = run(["ball-verify", "--dirs", str(path), "-m", "1", "-d", "2",
+                     "--margin", "0.3"])
+        assert plain.exit_code == 0
+        lifted = run(["ball-lift", "--dirs", str(path), "-m", "1", "-d", "2",
+                      "--margin", "0.3"])
+        assert lifted.exit_code == 1 and lifted.payload["verified"] is False
+        assert lifted.payload["report"]["worst_count"] == 0
+
+    def test_ball_lift_with_wrong_dimension_exits_2(self, tmp_path):
+        b3 = tmp_path / "b3.json"
+        run(["ball-construct", "-m", "1", "-d", "3", "--out", str(b3)])
+        result = run(["ball-lift", "--dirs", str(b3), "-m", "1", "-d", "4"])
+        assert result.exit_code == 2
+        assert "dimension 3, not -d 4" in result.payload["error"]
 
     def test_ball_verify_in_dimension_six(self, tmp_path):
         # the +-e_i cross-polytope lights every point of S^5 exactly once
@@ -272,10 +308,10 @@ class TestDeterminism:
 
 
 class TestGoldenStdout:
-    """Stdout bytes of a cover-and-lift step, of the exact check of its
-    result and of two exact polygon solves (tests/data).  The lift and the
-    solves were recorded from earlier implementations; the check's report
-    (least count, its witness, candidate count) from the exact verifier."""
+    """Stdout bytes of a lift step with its own exact check, of the exact
+    check of its result and of two exact polygon solves (tests/data).  The
+    two ball files were recorded from the tilt-and-add-down lift; the
+    solves from earlier implementations."""
 
     def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
         from illum.balls import b3_direction_multiset
