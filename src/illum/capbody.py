@@ -157,34 +157,49 @@ def validate_cap_body(spec: CapBodySpec) -> bool:
 # spike / cap membership
 # --------------------------------------------------------------------------
 
-def _point_in_spike(v, p) -> bool:
+def _rows_or_bool(mask):
+    """A bool array for rows of points, a plain bool for one point."""
+    return mask if mask.ndim else bool(mask)
+
+
+def _point_in_spike(v, p):
+    """p in the spike of apex v: off the ball, on the apex side of the
+    tangency plane and inside the cone of tangent lines through v.
+
+    Exact when both are rational.  Float input may give v, p or both as an
+    (N, d) array of rows; the answer is then one bool per row."""
     if is_exact_coords(v) and is_exact_coords(p):
         v, p = frac_vec(v), frac_vec(p)
-        one = 1
-    else:
-        v = tuple(float(c) for c in v)
-        p = tuple(float(c) for c in p)
-        one = 1.0
-    pp = dot(p, p)
-    if pp <= one:
-        return False
-    if dot(p, v) < one:
-        return False
-    w = tuple(x - y for x, y in zip(v, p))
-    axial = dot(w, v)
-    if axial < 0:
-        return False
-    return axial * axial >= dot(w, w) * (dot(v, v) - one)
+        if dot(p, p) <= 1:
+            return False
+        if dot(p, v) < 1:
+            return False
+        w = tuple(x - y for x, y in zip(v, p))
+        axial = dot(w, v)
+        if axial < 0:
+            return False
+        return axial * axial >= dot(w, w) * (dot(v, v) - 1)
+    v = np.asarray(v, dtype=float)
+    p = np.asarray(p, dtype=float)
+    w = v - p
+    axial = (w * v).sum(axis=-1)
+    inside = (
+        ((p * p).sum(axis=-1) > 1.0)
+        & ((p * v).sum(axis=-1) >= 1.0)
+        & (axial >= 0)
+        & (axial * axial >= (w * w).sum(axis=-1) * ((v * v).sum(axis=-1) - 1.0))
+    )
+    return _rows_or_bool(inside)
 
 
-def _point_in_spiky_hull(v, p) -> bool:
-    """p in conv(ball + apex v)."""
+def _point_in_spiky_hull(v, p):
+    """p in conv(ball + apex v); float rows as in ``_point_in_spike``."""
     if is_exact_coords(v) and is_exact_coords(p):
         if dot(frac_vec(p), frac_vec(p)) <= 1:
             return True
-    elif sum(float(c) ** 2 for c in p) <= 1.0:
-        return True
-    return _point_in_spike(v, p)
+        return _point_in_spike(v, p)
+    p = np.asarray(p, dtype=float)
+    return _rows_or_bool(((p * p).sum(axis=-1) <= 1.0) | _point_in_spike(v, p))
 
 
 def _point_in_cone_interior(v, p) -> bool:
@@ -238,16 +253,20 @@ def closed_cap_of_ball(v) -> SphericalCap:
     return SphericalCap(center=center, radius=math.acos(1.0 / r))
 
 
-def apex_illuminates(v, u) -> bool:
+def apex_illuminates(v, u):
     """Does direction u illuminate the apex v with respect to the hull of
-    ball and v?  True iff u points strictly into the tangent cone."""
-    v = np.asarray([float(c) for c in v])
-    u = np.asarray([float(c) for c in u])
-    r = float(np.linalg.norm(v))
-    if r <= 1.0:
+    ball and v?  True iff u points strictly into the tangent cone.
+
+    v, u or both may be an (N, d) array of rows; the answer is then one
+    bool per row."""
+    v = np.asarray(v, dtype=float)
+    u = np.asarray(u, dtype=float)
+    r = np.linalg.norm(v, axis=-1)
+    if np.any(r <= 1.0):
         raise DomainError("apex must be strictly outside the ball")
-    cos_beta = math.sqrt(r * r - 1.0) / r
-    return float(u @ (-v / r)) / float(np.linalg.norm(u)) > cos_beta
+    cos_beta = np.sqrt(r * r - 1.0) / r
+    toward = -(u * v).sum(axis=-1) / r
+    return _rows_or_bool(toward / np.linalg.norm(u, axis=-1) > cos_beta)
 
 
 def incompatible_apexes(v, v_prime) -> bool:

@@ -208,10 +208,12 @@ def _ball_result(args, multiset, d: int) -> CommandResult:
 
 
 def _cmd_ball_construct(args) -> CommandResult:
-    if args.d == 3 and args.eps is not None:
+    if args.eps is None:
+        multiset = balls.recursive_ball_construction(args.m, args.d)
+    elif args.d == 3:
         multiset = balls.b3_direction_multiset(args.m, args.eps)
     else:
-        multiset = balls.recursive_ball_construction(args.m, args.d)
+        raise DomainError(f"--eps sets the 3-ball fan and needs -d 3, not -d {args.d}")
     return _ball_result(args, multiset, args.d)
 
 

@@ -4,7 +4,9 @@ Each entry turns one structural fact about spikes, caps, and cap bodies
 into a seeded randomized check: hull decomposition, spike and cap
 monotonicity, transfer of apex illumination to caps and spikes, closed-cap
 transfer, sub-cap-body monotonicity of verified multisets, and apex-pair
-incompatibility.  The suite is deterministic given the seed.
+incompatibility.  Entries draw their samples as numpy arrays and test
+each array at once; a failure names the first offending sample.  The
+suite is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -38,52 +40,64 @@ class LemmaResult:
     detail: str = ""
 
 
-def _unit(rng, d):
-    v = rng.normal(size=d)
-    return v / np.linalg.norm(v)
+def _unit(rng, n, d):
+    """n independent uniform unit vectors of R^d, as rows."""
+    v = rng.normal(size=(n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _interior_ball_point(rng, d, rmax=0.98):
-    return _unit(rng, d) * rmax * rng.uniform() ** (1.0 / d)
+def _interior_ball_point(rng, n, d, rmax=0.98):
+    return _unit(rng, n, d) * rmax * rng.uniform(size=(n, 1)) ** (1.0 / d)
 
 
-def _random_apex(rng, d, rmin=1.05, rmax=3.0):
-    return _unit(rng, d) * rng.uniform(rmin, rmax)
+def _random_apex(rng, n, d, rmin=1.05, rmax=3.0):
+    return _unit(rng, n, d) * rng.uniform(rmin, rmax, size=(n, 1))
 
 
 def _random_spike_point(rng, v, beta_min=0.0):
-    """Point of the spike of apex v (rejection on staying outside the ball)."""
+    """One point of the spike of each apex row of v (rejection on staying
+    outside the ball; only the rejected rows are drawn again)."""
+    out = np.empty_like(v)
+    todo = np.arange(len(v))
     for _ in range(10_000):
-        b = _interior_ball_point(rng, len(v))
-        beta = rng.uniform(beta_min, 1.0)
-        s = (1 - beta) * b + beta * v
-        if s @ s > 1.0 + 1e-9:
-            return s
+        b = _interior_ball_point(rng, len(todo), v.shape[1])
+        beta = rng.uniform(beta_min, 1.0, size=(len(todo), 1))
+        s = (1 - beta) * b + beta * v[todo]
+        kept = (s * s).sum(axis=1) > 1.0 + 1e-9
+        out[todo[kept]] = s[kept]
+        todo = todo[~kept]
+        if not len(todo):
+            return out
     raise RuntimeError("spike sampling failed")
 
 
 def _random_cap_point(rng, v):
-    """Sphere point strictly inside the open cap of apex v."""
-    r = float(np.linalg.norm(v))
-    cap_r = math.acos(1.0 / r)
+    """One sphere point strictly inside the open cap of each apex row of v
+    (only the rejected rows are drawn again)."""
+    r = np.linalg.norm(v, axis=1, keepdims=True)
+    cap_r = np.arccos(1.0 / r)
     vhat = v / r
+    out = np.empty_like(v)
+    todo = np.arange(len(v))
     for _ in range(10_000):
-        ang = rng.uniform(0.0, cap_r * 0.999)
-        w = rng.normal(size=len(v))
-        w -= (w @ vhat) * vhat
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            continue
-        p = math.cos(ang) * vhat + math.sin(ang) * (w / nw)
-        if p @ v > 1.0 + 1e-9:
-            return p
+        ang = rng.uniform(0.0, cap_r[todo] * 0.999)
+        w = rng.normal(size=(len(todo), v.shape[1]))
+        axis = vhat[todo]
+        w -= (w * axis).sum(axis=1, keepdims=True) * axis
+        nw = np.linalg.norm(w, axis=1, keepdims=True)
+        p = np.cos(ang) * axis + np.sin(ang) * (w / np.maximum(nw, 1e-12))
+        kept = (nw[:, 0] >= 1e-12) & ((p * v[todo]).sum(axis=1) > 1.0 + 1e-9)
+        out[todo[kept]] = p[kept]
+        todo = todo[~kept]
+        if not len(todo):
+            return out
     raise RuntimeError("cap sampling failed")
 
 
 def _valid_random_pair(rng, d):
     """Two apexes whose connecting segment passes through the ball."""
     for _ in range(10_000):
-        v1 = _random_apex(rng, d)
+        v1 = _random_apex(rng, 1, d)[0]
         v2 = -rng.uniform(1.1, 2.5) * (v1 / np.linalg.norm(v1))
         v2 = v2 + 0.2 * rng.normal(size=d)
         if v2 @ v2 > 1.02:
@@ -109,30 +123,34 @@ def lemma_hull_union_equality(rng, samples=10_000) -> LemmaResult:
         if not validate_cap_body(spec):
             return LemmaResult("hull_union_equality", False, "invalid test spec")
         arr = spec.apex_array()
-        for _ in range(per_set):
-            weights = rng.dirichlet(np.ones(len(arr) + 1))
-            x = weights[0] * _interior_ball_point(rng, d)
-            x = x + weights[1:] @ arr
-            if not (x @ x <= 1.0 or any(_point_in_spike(v, x) for v in arr)):
-                return LemmaResult(
-                    "hull_union_equality", False, f"point {x} escaped all spikes"
-                )
+        weights = rng.dirichlet(np.ones(len(arr) + 1), size=per_set)
+        x = weights[:, :1] * _interior_ball_point(rng, per_set, d)
+        x = x + weights[:, 1:] @ arr
+        covered = (x * x).sum(axis=1) <= 1.0
+        for v in arr:
+            covered |= _point_in_spike(v, x)
+        if not covered.all():
+            bad = x[~covered][0]
+            return LemmaResult(
+                "hull_union_equality", False, f"point {bad} escaped all spikes"
+            )
     return LemmaResult("hull_union_equality", True)
 
 
 def lemma_spike_containment(rng, samples=1_000) -> LemmaResult:
     """An apex inside a spike spans a smaller spiky body."""
-    for _ in range(40):
-        v = _random_apex(rng, 3, rmin=1.3)
-        v_prime = _random_spike_point(rng, v, beta_min=0.2)
-        for _ in range(samples // 40):
-            b = _interior_ball_point(rng, 3)
-            beta = rng.uniform()
-            y = (1 - beta) * b + beta * v_prime
-            if not _point_in_spiky_hull(v, y):
-                return LemmaResult(
-                    "spike_containment", False, f"{y} left the outer spiky body"
-                )
+    v = _random_apex(rng, 40, 3, rmin=1.3)
+    v_prime = _random_spike_point(rng, v, beta_min=0.2)
+    v = np.repeat(v, samples // 40, axis=0)
+    v_prime = np.repeat(v_prime, samples // 40, axis=0)
+    b = _interior_ball_point(rng, len(v), 3)
+    beta = rng.uniform(size=(len(v), 1))
+    y = (1 - beta) * b + beta * v_prime
+    inside = _point_in_spiky_hull(v, y)
+    if not inside.all():
+        return LemmaResult(
+            "spike_containment", False, f"{y[~inside][0]} left the outer spiky body"
+        )
     return LemmaResult("spike_containment", True)
 
 
@@ -141,8 +159,8 @@ def lemma_cap_interior_identity(rng, samples=1_000) -> LemmaResult:
     membership off the ball agree on sphere points."""
     for _ in range(samples):
         d = 3 if rng.uniform() < 0.7 else 2
-        v = _random_apex(rng, d)
-        p = _unit(rng, d)
+        v = _random_apex(rng, 1, d)[0]
+        p = _unit(rng, 1, d)[0]
         margin = abs(p @ v - 1.0)
         if margin < 1e-9:
             continue
@@ -160,50 +178,49 @@ def lemma_cap_interior_identity(rng, samples=1_000) -> LemmaResult:
 def lemma_apex_transfer_to_cap(rng, trials=1_000, cap_samples=20) -> LemmaResult:
     """A direction illuminating the apex (aimed at an interior point) also
     illuminates every open-cap point with respect to the ball."""
-    for _ in range(trials):
-        v = _random_apex(rng, 3)
-        u = _interior_ball_point(rng, 3) - v
-        u /= np.linalg.norm(u)
-        for _ in range(cap_samples):
-            p = _random_cap_point(rng, v)
-            if not u @ p < 0:
-                return LemmaResult(
-                    "apex_transfer_to_cap", False, f"cap point {p} not lit"
-                )
+    v = _random_apex(rng, trials, 3)
+    u = _interior_ball_point(rng, trials, 3) - v
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    p = _random_cap_point(rng, np.repeat(v, cap_samples, axis=0))
+    lit = (np.repeat(u, cap_samples, axis=0) * p).sum(axis=1) < 0
+    if not lit.all():
+        return LemmaResult(
+            "apex_transfer_to_cap", False, f"cap point {p[~lit][0]} not lit"
+        )
     return LemmaResult("apex_transfer_to_cap", True)
 
 
 def lemma_closed_cap_transfer(rng, trials=500, ring_samples=24) -> LemmaResult:
     """Same transfer including the tangency circle (closed cap)."""
+    ang = 2 * np.pi * np.arange(ring_samples) / ring_samples
     for _ in range(trials):
-        v = _random_apex(rng, 3)
+        v = _random_apex(rng, 1, 3)[0]
         r = float(np.linalg.norm(v))
         vhat = v / r
-        u = _interior_ball_point(rng, 3) - v
+        u = _interior_ball_point(rng, 1, 3)[0] - v
         u /= np.linalg.norm(u)
         b1, b2 = _orthonormal_pair(vhat)
         radial = math.sqrt(1.0 - 1.0 / (r * r))
-        for k in range(ring_samples):
-            ang = 2 * math.pi * k / ring_samples
-            p = vhat / r + radial * (math.cos(ang) * b1 + math.sin(ang) * b2)
-            if not u @ p < 0:
-                return LemmaResult(
-                    "closed_cap_transfer", False, f"tangency point {p} not lit"
-                )
+        p = vhat / r + radial * (np.cos(ang)[:, None] * b1 + np.sin(ang)[:, None] * b2)
+        lit = p @ u < 0
+        if not lit.all():
+            return LemmaResult(
+                "closed_cap_transfer", False, f"tangency point {p[~lit][0]} not lit"
+            )
     return LemmaResult("closed_cap_transfer", True)
 
 
 def lemma_spike_to_spike_transfer(rng, trials=1_000) -> LemmaResult:
     """A direction illuminating apex v transfers to every spike point s as
     an illuminating direction of the spiky body with apex s."""
-    for _ in range(trials):
-        v = _random_apex(rng, 3, rmin=1.2)
-        u = _interior_ball_point(rng, 3) - v
-        s = _random_spike_point(rng, v)
-        if not apex_illuminates(s, u):
-            return LemmaResult(
-                "spike_to_spike_transfer", False, f"spike point {s} not lit"
-            )
+    v = _random_apex(rng, trials, 3, rmin=1.2)
+    u = _interior_ball_point(rng, trials, 3) - v
+    s = _random_spike_point(rng, v)
+    lit = apex_illuminates(s, u)
+    if not lit.all():
+        return LemmaResult(
+            "spike_to_spike_transfer", False, f"spike point {s[~lit][0]} not lit"
+        )
     return LemmaResult("spike_to_spike_transfer", True)
 
 
@@ -211,8 +228,8 @@ def lemma_cap_containment(rng, trials=400, sphere_samples=50) -> LemmaResult:
     """An apex inside a spike has a smaller cap, both pointwise and as a
     spherical cap (center offset plus radius)."""
     for _ in range(trials):
-        v = _random_apex(rng, 3, rmin=1.3)
-        v_prime = _random_spike_point(rng, v, beta_min=0.3)
+        v = _random_apex(rng, 1, 3, rmin=1.3)[0]
+        v_prime = _random_spike_point(rng, v[None], beta_min=0.3)[0]
         cap_outer = closed_cap_of_ball(v)
         cap_inner = closed_cap_of_ball(v_prime)
         offset = math.acos(
@@ -222,12 +239,13 @@ def lemma_cap_containment(rng, trials=400, sphere_samples=50) -> LemmaResult:
             return LemmaResult(
                 "cap_containment", False, f"cap of {v_prime} exceeds cap of {v}"
             )
-        for _ in range(sphere_samples):
-            p = _unit(rng, 3)
-            if p @ v_prime > 1.0 and not p @ v > 1.0:
-                return LemmaResult(
-                    "cap_containment", False, f"point {p} only in the inner cap"
-                )
+        p = _unit(rng, sphere_samples, 3)
+        only_inner = (p @ v_prime > 1.0) & ~(p @ v > 1.0)
+        if only_inner.any():
+            bad = p[only_inner][0]
+            return LemmaResult(
+                "cap_containment", False, f"point {bad} only in the inner cap"
+            )
     return LemmaResult("cap_containment", True)
 
 
@@ -262,16 +280,13 @@ def lemma_incompatible_pairs(rng, samples=100_000) -> LemmaResult:
             return LemmaResult(
                 "incompatible_pairs", False, "criterion rejected a prism pair"
             )
-    dirs = rng.normal(size=(samples, 3))
+    dirs = rng.normal(size=(samples, 3))[: samples // 2]
+    lit_top = apex_illuminates(top, dirs)
     for q in ring[:2]:
-        both = [
-            u
-            for u in dirs[: samples // 2]
-            if apex_illuminates(top, u) and apex_illuminates(q, u)
-        ]
-        if both:
+        both = lit_top & apex_illuminates(q, dirs)
+        if both.any():
             return LemmaResult(
-                "incompatible_pairs", False, f"direction {both[0]} lights both"
+                "incompatible_pairs", False, f"direction {dirs[both][0]} lights both"
             )
     return LemmaResult("incompatible_pairs", True)
 
@@ -279,22 +294,24 @@ def lemma_incompatible_pairs(rng, samples=100_000) -> LemmaResult:
 def lemma_apex_cap_equivalence(rng, trials=2_000) -> LemmaResult:
     """Illuminating the apex of a single-spike body is the same as
     illuminating its whole closed cap with respect to the ball."""
-    for _ in range(trials):
-        v = _random_apex(rng, 3)
-        u = _unit(rng, 3)
-        cap = closed_cap_of_ball(v)
-        ang = math.acos(min(1.0, max(-1.0, float(u @ np.asarray(cap.center)))))
-        # max of <u, p> over the closed cap
-        worst = math.cos(max(ang - cap.radius, 0.0))
-        slack = math.asin(1.0 / float(np.linalg.norm(v))) - math.acos(
-            min(1.0, max(-1.0, float(u @ (-v / np.linalg.norm(v)))))
+    v = _random_apex(rng, trials, 3)
+    u = _unit(rng, trials, 3)
+    caps = [closed_cap_of_ball(a) for a in v]
+    center = np.array([cap.center for cap in caps])
+    radius = np.array([cap.radius for cap in caps])
+    ang = np.arccos(np.clip((u * center).sum(axis=1), -1.0, 1.0))
+    # max of <u, p> over the closed cap
+    worst = np.cos(np.maximum(ang - radius, 0.0))
+    r = np.linalg.norm(v, axis=1)
+    slack = np.arcsin(1.0 / r) - np.arccos(
+        np.clip((u * (-v / r[:, None])).sum(axis=1), -1.0, 1.0)
+    )
+    wrong = (np.abs(slack) >= 1e-6) & (apex_illuminates(v, u) != (worst < 0))
+    if wrong.any():
+        i = np.flatnonzero(wrong)[0]
+        return LemmaResult(
+            "apex_cap_equivalence", False, f"apex {v[i]} direction {u[i]}"
         )
-        if abs(slack) < 1e-6:
-            continue
-        if apex_illuminates(v, u) != (worst < 0):
-            return LemmaResult(
-                "apex_cap_equivalence", False, f"apex {v} direction {u}"
-            )
     return LemmaResult("apex_cap_equivalence", True)
 
 

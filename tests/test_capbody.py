@@ -7,6 +7,8 @@ import pytest
 from illum.capbody import (
     CapBodySpec,
     SphericalCap,
+    _point_in_spike,
+    _point_in_spiky_hull,
     apex_illuminates,
     b2_single_spike_directions,
     b3_capbody_directions,
@@ -94,6 +96,77 @@ class TestSpike:
     def test_multi_apex_rejected(self):
         with pytest.raises(PreconditionViolation):
             in_spike(CapBodySpec(2, [(2, 0), (-2, 0)]), (1.5, 0))
+
+
+class TestRowPredicates:
+    """On (N, d) rows, apex_illuminates and the float spike tests give row by
+    row the answer of the one-point call; random rows also match the exact
+    rational spike test."""
+
+    N = 200
+
+    @classmethod
+    def rows(cls):
+        rng = np.random.default_rng(12)
+        n = cls.N
+        v = rng.normal(size=(n, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v *= rng.uniform(1.05, 3.0, size=(n, 1))
+        r = np.linalg.norm(v, axis=1, keepdims=True)
+        vhat = v / r
+        w = rng.normal(size=(n, 3))
+        w -= (w * vhat).sum(axis=1, keepdims=True) * vhat
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        touch = vhat / r + np.sqrt(1.0 - 1.0 / (r * r)) * w
+        t = rng.uniform(size=(n, 1))
+        sphere = rng.normal(size=(n, 3))
+        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+        points = np.concatenate([
+            v * t + 0.5 * rng.normal(size=(n, 3)),  # random, near the spike
+            touch + t * (v - touch),               # on the tangent cone
+            sphere,                                # on the sphere
+            vhat / r + 2 * t * w,                  # on the tangency plane
+            v,                                     # the apex itself
+        ])
+        dirs = np.concatenate([
+            rng.normal(size=(n, 3)),               # random
+            touch - v,                             # along the cone boundary
+            -v,                                    # along the axis
+            v - touch,                             # out of the cone
+            sphere,
+        ])
+        return np.tile(v, (5, 1)), points, dirs
+
+    def test_apex_illuminates_rows(self):
+        apexes, _, dirs = self.rows()
+        got = apex_illuminates(apexes, dirs)
+        assert got.dtype == bool and got.shape == (len(dirs),)
+        assert got.tolist() == [apex_illuminates(a, u) for a, u in zip(apexes, dirs)]
+        assert 0 < got.sum() < len(got)
+        one = apex_illuminates(apexes[0], dirs)
+        assert one.tolist() == [apex_illuminates(apexes[0], u) for u in dirs]
+        assert type(apex_illuminates(apexes[0], dirs[0])) is bool
+
+    @pytest.mark.parametrize("test", [_point_in_spike, _point_in_spiky_hull])
+    def test_spike_rows(self, test):
+        apexes, points, _ = self.rows()
+        got = test(apexes, points)
+        assert got.dtype == bool and got.shape == (len(points),)
+        assert got.tolist() == [test(a, p) for a, p in zip(apexes, points)]
+        assert 0 < got.sum() < len(got)
+        one = test(apexes[0], points)
+        assert one.tolist() == [test(apexes[0], p) for p in points]
+        assert type(test(apexes[0], points[0])) is bool
+
+    @pytest.mark.parametrize("test", [_point_in_spike, _point_in_spiky_hull])
+    def test_random_rows_match_exact_test(self, test):
+        apexes, points, _ = self.rows()
+        apexes, points = apexes[: self.N], points[: self.N]
+        exact = [
+            test(tuple(map(Fraction, a)), tuple(map(Fraction, p)))
+            for a, p in zip(apexes, points)
+        ]
+        assert test(apexes, points).tolist() == exact
 
 
 class TestOpenCap:

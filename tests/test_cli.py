@@ -290,6 +290,15 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
         assert "too large" in result.payload["error"]
 
+    @pytest.mark.parametrize("d", ["2", "4", "5"])
+    def test_eps_without_the_3_ball_exits_2(self, d):
+        # --eps shapes the 3-ball fan only; elsewhere it would be dropped
+        result = run(["ball-construct", "-m", "1", "-d", d, "--eps", "0.1"])
+        assert result.status == "error" and result.exit_code == 2
+        assert "--eps" in result.payload["error"]
+        fan = run(["ball-construct", "-m", "1", "-d", "3", "--eps", "0.1"])
+        assert fan.status == "ok"
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, square_file):
@@ -309,9 +318,11 @@ class TestDeterminism:
 
 class TestGoldenStdout:
     """Stdout bytes of a lift step with its own exact check, of the exact
-    check of its result and of two exact polygon solves (tests/data).  The
-    two ball files were recorded from the tilt-and-add-down lift; the
-    solves from earlier implementations."""
+    check of its result, of two exact polygon solves, of the lemma ledger
+    and of a sampled prism cap-body check (tests/data).  The two ball files
+    were recorded from the tilt-and-add-down lift; the solves from earlier
+    implementations; the ledger and cap-body files before the ledger and
+    the cap-body predicates were evaluated on sample arrays."""
 
     def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
         from illum.balls import b3_direction_multiset
@@ -346,6 +357,29 @@ class TestGoldenStdout:
         for path, m, golden in cases:
             assert main(["polygon-solve", "--polygon", str(path), "-m", m]) == 0
             assert capsys.readouterr().out == (data / golden).read_text()
+
+    def test_lemma_suite(self, capsys, monkeypatch):
+        from illum.cli import main
+
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        assert main(["lemma-suite", "--seed", "7"]) == 0
+        golden = Path(__file__).parent / "data" / "lemma_suite_seed7.stdout"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_capbody_construct_then_verify(self, tmp_path, capsys, monkeypatch):
+        from illum.cli import main
+
+        data = Path(__file__).parent / "data"
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        dirs = tmp_path / "dirs.json"
+        assert main(["capbody-construct", "--n", "5", "-m", "2", "--top-bottom",
+                     "--out", str(dirs)]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(dump_json(json.loads(capsys.readouterr().out)["spec"]))
+        assert main(["capbody-verify", "--spec", str(spec), "--dirs", str(dirs),
+                     "-m", "2"]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (data / "capbody_verify_n5_tb_m2.stdout").read_text()
 
 
 class TestLogStreams:
