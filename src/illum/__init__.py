@@ -44,7 +44,6 @@ from .geometry import (
     IlluminationReport,
     SupportFunctionBody,
     Tolerance,
-    boundary_sample,
     ellipse_body,
     illuminates_by_direction,
     illuminates_by_point,

@@ -34,9 +34,7 @@ from .geometry import (
     sphere_sample,
 )
 from .polygons import (
-    polygon_piercing_solution,
     regular_polygon_number,
-    regular_polygon_rational,
     tangent_polygon,
     tangent_window_directions,
 )
@@ -353,42 +351,50 @@ def b2_single_spike_directions(v, m: int) -> DirectionMultiset:
     return tangent_window_directions(tp, m)
 
 
+def _slot_multiplicities(n: int, m: int) -> list[int]:
+    """x_k = ceil((k+1)T/n) - ceil(kT/n) for k = 0..n-1, with T the regular
+    n-gon value: they sum to T, and any h = floor((n-1)/2) cyclically
+    consecutive ones sum to at least floor(hT/n) >= m."""
+    total = regular_polygon_number(n, m)
+    ceilings = [-(-k * total // n) for k in range(n + 1)]
+    return [b - a for a, b in zip(ceilings, ceilings[1:])]
+
+
 def b3_capbody_directions(
     n: int,
     m: int,
     with_bottom: bool = False,
     tol: Tolerance = Tolerance(),
 ) -> DirectionMultiset:
-    """Direction multiset matching the prism cap-body formulas.
+    """Direction multiset matching the prism cap-body formulas: the regular
+    n-gon value T = I^m(P_n) of directions at the ring's slots, tilted up
+    by 0.1, plus m copies of straight down (and m of straight up when the
+    bottom apex is present).
 
-    Takes the optimal equatorial multiset of the regular n-gon, tips it
-    upward by a verified halving search over the tilt, and adds m copies
-    of straight down (and straight up when the bottom apex is present).
+    Ring apex i, at angle a_i = 2 pi i / n, has cone half-angle
+    pi/2 - pi/n, so a horizontal direction lights it exactly on the open
+    arc of length pi - 2pi/n that starts at s_i = a_i + pi/2 + pi/n.  The
+    slot theta_k = s_k + pi/(2n) lies in the h = floor((n-1)/2) arcs
+    i = k-h+1..k, at least pi/(2n) from each end, and slot k carries the
+    x_k of :func:`_slot_multiplicities`, so every ring apex gets at least
+    m.  The tilt keeps these apex tests, since sin(3pi/(2n)) exceeds
+    sqrt(1.01) sin(pi/n) for all n >= 3.  Straight down lights the top
+    apex m times, straight up the bottom one.  The result gets one
+    :func:`verify_mfold` check; a failure raises ConstructionFailure.
     """
-    spec = CapBodySpec(dim=3, apexes=b3_prism_apexes(n, with_bottom))
-    solution = polygon_piercing_solution(regular_polygon_rational(n), m)
-    planar = []
-    for d, (_, mult) in zip(solution.directions, solution.slots):
-        ux, uy = float(d[0]), float(d[1])
-        norm = math.hypot(ux, uy)
-        planar.append((ux / norm, uy / norm, mult))
-
     from .geometry import verify_mfold  # deferred: geometry dispatches back here
 
-    eps_hat = 0.1
-    report = None
-    while eps_hat >= 1e-9:
-        entries = [
-            (Direction((ux, uy, eps_hat)), mult) for ux, uy, mult in planar
-        ]
-        entries.append((Direction((0.0, 0.0, -1.0)), m))
-        if with_bottom:
-            entries.append((Direction((0.0, 0.0, 1.0)), m))
-        candidate = DirectionMultiset(entries)
-        report = verify_mfold(spec, candidate, m, tol)
-        if report.passed:
-            return candidate
-        eps_hat /= 2
-    raise ConstructionFailure(
-        "tilt search exhausted without a verified multiset", report=report
-    )
+    spec = CapBodySpec(dim=3, apexes=b3_prism_apexes(n, with_bottom))
+    entries = []
+    for k, mult in enumerate(_slot_multiplicities(n, m)):
+        if mult:
+            theta = 2 * math.pi * k / n + math.pi / 2 + 3 * math.pi / (2 * n)
+            entries.append((Direction((math.cos(theta), math.sin(theta), 0.1)), mult))
+    entries.append((Direction((0.0, 0.0, -1.0)), m))
+    if with_bottom:
+        entries.append((Direction((0.0, 0.0, 1.0)), m))
+    multiset = DirectionMultiset(entries)
+    report = verify_mfold(spec, multiset, m, tol)
+    if not report.passed:
+        raise ConstructionFailure("prism multiset failed its check", report=report)
+    return multiset

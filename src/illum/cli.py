@@ -153,7 +153,10 @@ def _cmd_polygon_check(args) -> CommandResult:
         payload["cuts"] = cuts
         payload["satisfied"] = cuts is not None
     elif args.cuts:
-        cuts = [int(c) for c in args.cuts.split(",")]
+        try:
+            cuts = [int(c) for c in args.cuts.split(",")]
+        except ValueError:
+            raise DomainError(f"--cuts must be comma-separated integers: {args.cuts!r}")
         payload["cuts"] = cuts
         payload["satisfied"] = polygons.check_grouped_angle_condition(
             poly, args.m, cuts

@@ -18,10 +18,10 @@ class UnsupportedBody(IllumError, TypeError):
 
 
 class ConstructionFailure(IllumError, RuntimeError):
-    """A verified construction search was exhausted without success.
+    """A construction failed its own verification.
 
-    Carries a ``report`` attribute with the last failing verification
-    report (or None) for diagnostics.
+    Carries a ``report`` attribute with the failing verification report
+    (or None) for diagnostics.
     """
 
     def __init__(self, message, report=None):

@@ -355,8 +355,8 @@ def unit_circle_body() -> SupportFunctionBody:
 
 def ellipse_body(a: float, b: float) -> SupportFunctionBody:
     """Axis-aligned ellipse with semi-axes (a, b)."""
-    if a <= 0 or b <= 0:
-        raise DomainError("semi-axes must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError("semi-axes must be positive and finite")
 
     def h(t):
         t = np.asarray(t, dtype=np.float64)
@@ -550,25 +550,6 @@ def sphere_sample(dim: int, n: int) -> np.ndarray:
     if dim == 3:
         return _sphere_s2(n)
     raise DomainError(f"sphere sampling not implemented for dimension {dim}")
-
-
-def boundary_sample(body, n: int) -> np.ndarray:
-    """Deterministic quasi-uniform boundary sample; identical bytes per input."""
-    if n < 1:
-        raise DomainError("sample count must be >= 1")
-    if isinstance(body, Ball):
-        return sphere_sample(body.dim, n)
-    if isinstance(body, ConvexPolygon):
-        verts = body.vertex_array()
-        edge_vecs = np.roll(verts, -1, axis=0) - verts
-        lengths = np.linalg.norm(edge_vecs, axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(lengths)])
-        perimeter = cum[-1]
-        s = perimeter * np.arange(n, dtype=np.float64) / n
-        idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(lengths) - 1)
-        local = (s - cum[idx]) / lengths[idx]
-        return verts[idx] + local[:, None] * edge_vecs[idx]
-    raise UnsupportedBody(f"no boundary sampler for {type(body).__name__}")
 
 
 # --------------------------------------------------------------------------

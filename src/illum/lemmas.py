@@ -30,6 +30,7 @@ from .capbody import (
     incompatible_apexes,
     validate_cap_body,
 )
+from .errors import DomainError
 from .geometry import Ball, Tolerance, verify_mfold
 
 
@@ -331,6 +332,8 @@ _SUITE = [
 
 def run_lemma_suite(seed: int) -> list[LemmaResult]:
     """Run every ledger entry with an independent child seed."""
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     results = []
     root = np.random.SeedSequence(seed)
     for child, (name, fn) in zip(root.spawn(len(_SUITE)), _SUITE):

@@ -9,6 +9,7 @@ from illum.capbody import (
     SphericalCap,
     _point_in_spike,
     _point_in_spiky_hull,
+    _slot_multiplicities,
     apex_illuminates,
     b2_single_spike_directions,
     b3_capbody_directions,
@@ -21,8 +22,9 @@ from illum.capbody import (
     incompatible_apexes,
     validate_cap_body,
 )
-from illum.errors import DomainError, PreconditionViolation
+from illum.errors import ConstructionFailure, DomainError, PreconditionViolation
 from illum.geometry import Tolerance, verify_mfold
+from illum.polygons import regular_polygon_number
 
 SQRT2 = math.sqrt(2)
 
@@ -286,7 +288,8 @@ class TestSingleSpikeDirections:
 class TestCapBodyDirections:
     @pytest.mark.parametrize(
         "n,m,with_bottom",
-        [(4, 1, True), (5, 2, False), (3, 1, False)],
+        [(4, 1, True), (5, 2, False), (3, 1, False)]
+        + [(n, m, b) for n in (9, 11, 13) for m in (1, 2, 3) for b in (False, True)],
     )
     def test_construction_verifies_and_matches_formula(self, n, m, with_bottom):
         tol = Tolerance(samples=50_000)
@@ -299,6 +302,41 @@ class TestCapBodyDirections:
         assert multiset.total == want
         spec = CapBodySpec(3, apexes=b3_prism_apexes(n, with_bottom))
         assert verify_mfold(spec, multiset, m, tol).passed
+
+    def test_slot_multiplicities_cover_every_window(self):
+        for n in range(3, 41):
+            h = (n - 1) // 2
+            for m in range(1, 7):
+                mults = _slot_multiplicities(n, m)
+                assert len(mults) == n and min(mults) >= 0
+                assert sum(mults) == regular_polygon_number(n, m)
+                windows = [
+                    sum(mults[(k + j) % n] for j in range(h)) for k in range(n)
+                ]
+                assert min(windows) >= m, (n, m)
+
+    @pytest.mark.parametrize(
+        "n,m,with_bottom", [(4, 1, True), (5, 2, False), (9, 3, True), (12, 2, False)]
+    )
+    def test_one_planar_copy_fewer_fails(self, n, m, with_bottom):
+        from illum.geometry import DirectionMultiset
+
+        entries = list(b3_capbody_directions(n, m, with_bottom=with_bottom))
+        first, mult = entries[0]
+        assert first.unit()[2] > 0  # a tilted ring slot, not a pole direction
+        short = DirectionMultiset(
+            entries[1:] if mult == 1 else [(first, mult - 1)] + entries[1:]
+        )
+        spec = CapBodySpec(3, apexes=b3_prism_apexes(n, with_bottom))
+        assert not verify_mfold(spec, short, m).passed
+
+    def test_failed_check_raises(self, monkeypatch):
+        from illum import capbody
+
+        monkeypatch.setattr(capbody, "_slot_multiplicities", lambda n, m: [0] * n)
+        with pytest.raises(ConstructionFailure) as info:
+            b3_capbody_directions(5, 1)
+        assert not info.value.report.passed
 
     def test_invalid_cap_body_rejected_by_verifier(self):
         from illum.geometry import DirectionMultiset

@@ -90,6 +90,11 @@ class TestRoundTrips:
         )
         assert verified.status == "ok"
 
+    def test_capbody_construct_odd_ring(self):
+        built = run(["capbody-construct", "--n", "9", "-m", "1"])
+        assert built.status == "ok" and built.exit_code == 0
+        assert built.payload["size"] == built.payload["expected"] == 4
+
     def test_ball_lift_chain(self, tmp_path):
         b3 = tmp_path / "b3.json"
         b4 = tmp_path / "b4.json"
@@ -281,6 +286,30 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
         assert "margin" in result.payload["error"]
 
+    @pytest.mark.parametrize(
+        "axes",
+        [["-a", "nan"], ["-a", "inf"], ["-b", "nan"]],
+        ids=["a-nan", "a-inf", "b-nan"],
+    )
+    def test_non_finite_ellipse_axis_exits_2(self, axes):
+        result = run(["smooth-construct", "--body", "ellipse", "-m", "1", *axes])
+        assert result.status == "error" and result.exit_code == 2
+        assert "semi-axes" in result.payload["error"]
+
+    @pytest.mark.parametrize("cuts", ["1,a", ","])
+    def test_unparsable_cuts_exit_2(self, square_file, cuts):
+        result = run(
+            ["polygon-check-condition", "--polygon", square_file, "-m", "1",
+             "--cuts", cuts]
+        )
+        assert result.status == "error" and result.exit_code == 2
+        assert "--cuts" in result.payload["error"]
+
+    def test_negative_seed_exits_2(self):
+        result = run(["lemma-suite", "--seed", "-1"])
+        assert result.status == "error" and result.exit_code == 2
+        assert "seed" in result.payload["error"]
+
     def test_optimum_too_large_to_list_exits_2(self, tmp_path):
         path = tmp_path / "triangle.json"
         path.write_text('{"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}')
@@ -321,8 +350,10 @@ class TestGoldenStdout:
     check of its result, of two exact polygon solves, of the lemma ledger
     and of a sampled prism cap-body check (tests/data).  The two ball files
     were recorded from the tilt-and-add-down lift; the solves from earlier
-    implementations; the ledger and cap-body files before the ledger and
-    the cap-body predicates were evaluated on sample arrays."""
+    implementations; the ledger before it was evaluated on sample arrays.
+    The cap-body file was re-recorded when the prism multiset moved to
+    slots on the apex ring's own arcs at a fixed tilt: its directions, and
+    so the check's worst margin, changed by design."""
 
     def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
         from illum.balls import b3_direction_multiset

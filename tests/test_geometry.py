@@ -15,7 +15,6 @@ from illum.geometry import (
     SampleSet,
     Tolerance,
     _worst_index,
-    boundary_sample,
     ellipse_body,
     illuminates_by_direction,
     illuminates_by_point,
@@ -168,15 +167,9 @@ class TestPointPredicate:
 
 class TestBoundarySample:
     def test_circle_four_points(self):
-        pts = boundary_sample(Ball(2), 4)
+        pts = sphere_sample(2, 4)
         want = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
         assert np.allclose(pts, want, atol=1e-12)
-
-    def test_square_eight_points_hit_vertices(self):
-        pts = boundary_sample(SQUARE, 8)
-        assert len(pts) == 8
-        for v in [(-1, -1), (1, -1), (1, 1), (-1, 1)]:
-            assert min(np.linalg.norm(pts - np.array(v, dtype=float), axis=1)) < 1e-12
 
     def test_sphere_norms(self):
         for d, n in [(3, 1000)]:
@@ -185,8 +178,8 @@ class TestBoundarySample:
             assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
 
     def test_deterministic_bytes(self):
-        a = boundary_sample(Ball(3), 2_000)
-        b = boundary_sample(Ball(3), 2_000)
+        a = sphere_sample(3, 2_000)
+        b = sphere_sample(3, 2_000)
         assert a.tobytes() == b.tobytes()
 
 
