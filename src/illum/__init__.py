@@ -2,9 +2,9 @@
 
 Exact solvers for convex polygons (via m-fold piercing of the vertex
 direction arcs), explicit direction constructions for balls and cap
-bodies of balls, exact verifiers for balls and smooth planar bodies, a
-sampled verifier with strictness margin for cap bodies, and an
-executable ledger of the supporting structure lemmas.
+bodies of balls, exact verifiers with strictness margin for balls, smooth
+planar bodies and cap bodies of the 2- and 3-ball, and an executable
+ledger of the supporting structure lemmas.
 """
 
 from .balls import (

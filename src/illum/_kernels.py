@@ -1,7 +1,8 @@
-"""Hot numeric kernel: the counting loop of the sampled verifier.
+"""The counting loop of the sampled reference verifier.
 
-Plain numpy in bounded chunks, so memory stays linear in the number of
-points.  ``perfbench/`` measures it.
+No verdict runs it: the tests compare the exact verifiers against it, and
+``perfbench/`` still imports and traces this module.  Plain numpy in
+bounded chunks, so memory stays linear in the number of points.
 """
 
 from __future__ import annotations

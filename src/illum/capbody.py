@@ -70,11 +70,12 @@ class CapBodySpec:
     def apex_array(self) -> np.ndarray:
         return np.asarray([[float(c) for c in a] for a in self.apexes])
 
-    # -- boundary sampling for the verification engine ---------------------
+    # -- boundary sampling, the reference the exact verifier is tested on --
 
     def boundary_sample_set(self, n_sphere: int) -> SampleSet:
         """Sphere part outside all open caps, spike lateral surfaces with
-        their tangency normals, and the apexes themselves."""
+        their tangency normals, and the apexes themselves.  No verdict uses
+        it: ``verify_mfold`` is exact on cap bodies."""
         d = self.dim
         if d not in (2, 3):
             raise UnsupportedBody("cap-body sampling is implemented for d in {2, 3}")

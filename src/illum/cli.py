@@ -32,10 +32,7 @@ class CommandResult:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        margin=getattr(args, "margin", 1e-6),
-        samples=getattr(args, "samples", None),
-    )
+    return Tolerance(margin=getattr(args, "margin", 1e-6))
 
 
 # built once per process: construction costs milliseconds per call to run(),
@@ -99,14 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--top-only", action="store_true", default=True)
     group.add_argument("--top-bottom", dest="top_only", action="store_false")
     p.add_argument("--out")
-    p.add_argument("--samples", type=int)
     p.add_argument("--margin", type=float, default=1e-6)
 
-    p = sub.add_parser("capbody-verify", help="sampled m-fold check on a cap body")
+    p = sub.add_parser("capbody-verify", help="exact m-fold check on a cap body")
     p.add_argument("--spec", required=True)
     p.add_argument("--dirs", required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--samples", type=int)
     p.add_argument("--margin", type=float, default=1e-6)
 
     p = sub.add_parser("capbody-validate", help="pairwise apex segment condition")
@@ -362,11 +357,11 @@ def run(argv) -> CommandResult:
     try:
         return _HANDLERS[args.command](args)
     except (IllumError, OSError, json.JSONDecodeError) as exc:
-        return CommandResult(
-            "error",
-            {"schema": jsonio.SCHEMA, "error": f"{type(exc).__name__}: {exc}"},
-            [str(exc)],
-        )
+        payload = {"schema": jsonio.SCHEMA, "error": f"{type(exc).__name__}: {exc}"}
+        report = getattr(exc, "report", None)  # ConstructionFailure carries one
+        if report is not None:
+            payload["report"] = jsonio.report_to_json(report)
+        return CommandResult("error", payload, [str(exc)])
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,10 @@
 """Geometric primitives and the two illumination predicates.
 
 Arithmetic policy: everything 2D that feeds exact verdicts (polygons,
-piercing arcs) runs on ``fractions.Fraction``; ball and smooth-body
-verdicts run on integer multiples of the float unit directions; cap bodies
-are sampled on binary floats with an explicit strictness margin.
+piercing arcs) runs on ``fractions.Fraction``; ball, smooth-body and
+cap-body verdicts are exact for the rational values of the float unit
+directions (and apexes), on integer multiples of them, with a float filter
+in front of the cap-body integer tests.
 Inequalities are strict throughout: a direction tangent to the body at a
 boundary point does not illuminate it.
 """
@@ -19,7 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     DomainError,
     PreconditionViolation,
@@ -226,31 +226,14 @@ class Ball:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Strictness margin of verification; sample budget of cap bodies."""
+    """Strictness margin of verification: a direction counts at a normal
+    only when its inequality holds by more than ``margin``."""
 
     margin: float = 1e-6
-    samples: Optional[int] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.margin) and self.margin >= 0):
             raise DomainError("margin must be a finite number >= 0")
-        if self.samples is not None and self.samples < 1:
-            raise DomainError("sample count must be >= 1")
-
-
-#: per-dimension default sample counts for cap-body verification
-DEFAULT_SAMPLES = {2: 100_000, 3: 200_000}
-
-
-def resolve_samples(tol: Tolerance, dim: int) -> int:
-    if tol.samples is not None:
-        return tol.samples
-    try:
-        return DEFAULT_SAMPLES[dim]
-    except KeyError:
-        raise DomainError(
-            f"no default sample count for dimension {dim}; pass Tolerance(samples=...)"
-        ) from None
 
 
 class ConvexPolygon:
@@ -526,7 +509,8 @@ def _point_in_polygon_interior(poly: ConvexPolygon, p) -> bool:
 
 
 # --------------------------------------------------------------------------
-# deterministic boundary sampling
+# deterministic boundary sampling: no verdict uses it; tests compare the
+# exact verifiers against it, and the 3-ball band report reads it
 # --------------------------------------------------------------------------
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -552,10 +536,6 @@ def sphere_sample(dim: int, n: int) -> np.ndarray:
     raise DomainError(f"sphere sampling not implemented for dimension {dim}")
 
 
-# --------------------------------------------------------------------------
-# m-fold verification
-# --------------------------------------------------------------------------
-
 @dataclass
 class SampleSet:
     """Boundary samples prepared for the counting kernel.
@@ -569,6 +549,10 @@ class SampleSet:
     normals: np.ndarray
     offsets: np.ndarray
 
+
+# --------------------------------------------------------------------------
+# m-fold verification
+# --------------------------------------------------------------------------
 
 def _worst_index(points: np.ndarray, counts: np.ndarray) -> int:
     """First index of the lexicographically least point among the minimum
@@ -593,21 +577,6 @@ def _report(
         worst_margin=float(expanded[-min(m, len(expanded))]),
         samples=samples,
     )
-
-
-def verify_samples(
-    samples: SampleSet,
-    multiset: DirectionMultiset,
-    m: int,
-    tol: Tolerance,
-) -> IlluminationReport:
-    """Count robustly illuminating directions per sample and report the worst."""
-    units, mults = multiset.as_arrays()
-    pts, normals, offsets = samples.points, samples.normals, samples.offsets
-    counts = _kernels.count_illuminating(normals, offsets, units, mults, tol.margin)
-    wi = _worst_index(pts, counts)
-    margins = -(units @ normals[wi]) - offsets[wi]
-    return _report(m, pts[wi].tolist(), counts[wi], margins, mults, len(pts))
 
 
 def _verify_polygon_exact(
@@ -717,15 +686,433 @@ def _exact_sphere_minimum(
     return best, x / np.linalg.norm(x), evaluated
 
 
+# --------------------------------------------------------------------------
+# exact cap-body verification: arrangement vertices behind a float filter
+# --------------------------------------------------------------------------
+
+#: bound on the rounding error of one float64 operation relative to its
+#: rounded result: twice the unit roundoff 2^-53
+_EPS = 2.0 ** -52
+#: bound on the absolute rounding error of an operation that underflows
+_ETA = 2.0 ** -1074
+#: vertex x plane signs per numpy pass; bounds the scratch matrices
+_SIGN_CHUNK = 1 << 18
+
+
+class _Bounded:
+    """Float64 array with a bound on each entry's distance from the real
+    number it stands for: running error analysis (N. Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., section 3.3).
+
+    Inputs are exact floats, with bound 0.  Let x and y carry bounds e and
+    f on their distance from the reals X and Y.  An operation rounds its
+    exact result r on x and y to r~ with |r~ - r| <= _EPS |r~| + _ETA, and
+    r lies within
+
+    - e + f of X + Y and of X - Y;
+    - |x| f + |y| e + e f of X Y;
+    - (e + |x / y| f) / (|y| - f) of X / Y when |y| > f (no bound, inf,
+      otherwise);
+    - min(sqrt(e), e / sqrt(x)) of sqrt(X) for sqrt(max(x, 0)) when X >= 0,
+      since |sqrt(X) - sqrt(x)| <= sqrt(|X - x|) and it equals
+      |X - x| / (sqrt(X) + sqrt(x)).
+
+    A sum of n terms rounds n - 1 times, each time by at most _EPS times
+    the sum of their absolute values.  Each result's bound adds its
+    rounding to the propagated bound.
+
+    The root is where a vertex near a tangency loses accuracy: a radicand
+    known to e gives a root known only to about sqrt(e), so such a vertex
+    is known to about sqrt(_EPS) = 1.5e-8, and its sign band widens to
+    match.
+    """
+
+    __slots__ = ("val", "err")
+
+    def __init__(self, val, err=None):
+        self.val = np.asarray(val, dtype=np.float64)
+        self.err = np.zeros_like(self.val) if err is None else err
+
+    @staticmethod
+    def _rounded(val, err) -> "_Bounded":
+        return _Bounded(val, err + _EPS * np.abs(val) + _ETA)
+
+    def __getitem__(self, key) -> "_Bounded":
+        return _Bounded(self.val[key], self.err[key])
+
+    def __neg__(self) -> "_Bounded":
+        return _Bounded(-self.val, self.err)
+
+    def __add__(self, other) -> "_Bounded":
+        return self._rounded(self.val + other.val, self.err + other.err)
+
+    def __sub__(self, other) -> "_Bounded":
+        return self._rounded(self.val - other.val, self.err + other.err)
+
+    def __mul__(self, other) -> "_Bounded":
+        return self._rounded(
+            self.val * other.val,
+            np.abs(self.val) * other.err
+            + np.abs(other.val) * self.err
+            + self.err * other.err,
+        )
+
+    def __truediv__(self, other) -> "_Bounded":
+        quotient = self.val / other.val
+        slack = np.abs(other.val) - other.err
+        err = (self.err + np.abs(quotient) * other.err) / slack
+        return self._rounded(quotient, np.where(slack > 0, err, np.inf))
+
+    def sum(self) -> "_Bounded":
+        """Sum over the last axis, kept as an axis of length 1."""
+        terms = self.val.shape[-1]
+        return self._rounded(
+            self.val.sum(axis=-1, keepdims=True),
+            self.err.sum(axis=-1, keepdims=True)
+            + (terms - 2) * _EPS * np.abs(self.val).sum(axis=-1, keepdims=True),
+        )
+
+    def sqrt(self) -> "_Bounded":
+        """Root of max(x, 0), for a radicand whose exact value is >= 0."""
+        root = np.sqrt(np.maximum(self.val, 0.0))
+        return self._rounded(root, np.fmin(np.sqrt(self.err), self.err / root))
+
+
+def _filtered_sign(value: np.ndarray, bound: np.ndarray):
+    """Signs of the exact numbers within ``bound`` of ``value`` where the
+    bound decides them (0 elsewhere), and the mask of the undecided ones.
+
+    A bound is itself a float sum, product, quotient and root of
+    nonnegative floats, dozens of operations deep, each of relative error
+    below _EPS; its own rounding is far below a factor 2, so doubling it
+    makes it safe.  NaN and inf values stay undecided."""
+    band = 2.0 * bound
+    sign = np.where(value > band, 1, np.where(value < -band, -1, 0)).astype(np.int8)
+    return sign, ~(np.abs(value) > band)
+
+
+def _cross(a, b):
+    """Row-wise cross products of (n, 3) arrays or ``_Bounded`` arrays."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[:, i] * b[:, j] - a[:, j] * b[:, i]
+
+
+def _cross3(a, b) -> tuple:
+    """Cross product of two integer 3-vectors."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _sign_with_root(alpha: int, beta: int, e: int) -> int:
+    """Sign of alpha + beta sqrt(e) for integers alpha, beta and e >= 0."""
+    sa = (alpha > 0) - (alpha < 0)
+    sb = (beta > 0) - (beta < 0) if e else 0
+    if sa * sb >= 0:
+        return sa or sb
+    gap = alpha * alpha - beta * beta * e
+    return sa if gap > 0 else sb if gap < 0 else 0
+
+
+def _exact_pair(h1, h2):
+    """The points where the planes <a, x> + b = 0 of the integer rows h1
+    and h2 meet the unit sphere, as (P, Q, D, E): the points are
+    (P +- sqrt(E) Q) / D, one when E = 0; None when they do not meet.
+
+    With c = a1 x a2 and C = |c|^2 > 0, the point
+    x0 = -(b1 (a2 x c) + b2 (c x a1)) / C lies on both planes (since
+    <a1, a2 x c> = <a2, c x a1> = C) and is orthogonal to c.  The line
+    x0 + t c meets the sphere where |x0|^2 + t^2 C = 1.  With the integer
+    vector X0 = C x0 that is x = (C X0 +- sqrt(E) c) / C^2 with
+    E = C (C^2 - |X0|^2).  Parallel planes (c = 0) and E < 0 give none."""
+    a1, b1, a2, b2 = h1[:3], h1[3], h2[:3], h2[3]
+    c = _cross3(a1, a2)
+    cc = dot(c, c)
+    if not cc:
+        return None
+    x0 = tuple(
+        -(b1 * p + b2 * q) for p, q in zip(_cross3(a2, c), _cross3(c, a1))
+    )
+    e = cc * (cc * cc - dot(x0, x0))
+    if e < 0:
+        return None
+    return tuple(cc * x for x in x0), c, cc * cc, e
+
+
+class _Arrangement:
+    """Planes <a, x> + b = 0 of R^3, each as a primitive integer row
+    (a1, a2, a3, b) and as a float row of the same plane (a positive
+    multiple), and the points where two of them meet the unit sphere.
+
+    Float vertices carry bounds from ``_Bounded``; every sign the bounds
+    leave open is recomputed exactly from the integer rows, with the
+    pair's exact points cached."""
+
+    def __init__(self, frows, rows):
+        self.frows = np.asarray(frows, dtype=np.float64).reshape(-1, 4)
+        self.rows = [tuple(r) for r in rows]
+        self._exact = {}
+
+    def add(self, frow, row) -> int:
+        """Append a plane; return its index."""
+        self.frows = np.vstack([self.frows, frow])
+        self.rows.append(tuple(row))
+        return len(self.rows) - 1
+
+    def exact_pair(self, i: int, j: int):
+        key = (int(i), int(j))
+        if key not in self._exact:
+            self._exact[key] = _exact_pair(self.rows[key[0]], self.rows[key[1]])
+        return self._exact[key]
+
+    @np.errstate(all="ignore")  # parallel planes give inf and nan: undecided
+    def _frame(self, pairs):
+        """c = a1 x a2, |c|^2, x0 and 1 - |x0|^2 of each pair (see
+        ``_exact_pair``), in float with bounds."""
+        first = _Bounded(self.frows[pairs[:, 0]])
+        second = _Bounded(self.frows[pairs[:, 1]])
+        a1, b1, a2, b2 = first[:, :3], first[:, 3:], second[:, :3], second[:, 3:]
+        c = _cross(a1, a2)
+        cc = (c * c).sum()
+        x0 = -(_cross(a2, c) * b1 + _cross(c, a1) * b2) / cc
+        return c, cc, x0, _Bounded(np.ones_like(cc.val)) - (x0 * x0).sum()
+
+    def meeting(self, pairs: np.ndarray) -> np.ndarray:
+        """Which pairs of planes meet on the sphere, tangencies included:
+        1 - |x0|^2 >= 0, decided in float where the bound allows it and
+        from the exact sign of E elsewhere (parallel planes never meet)."""
+        *_, gap = self._frame(pairs)
+        sign, undecided = _filtered_sign(gap.val[:, 0], gap.err[:, 0])
+        meets = sign > 0
+        for p in np.flatnonzero(undecided):
+            meets[p] = self.exact_pair(*pairs[p]) is not None
+        return meets
+
+    @np.errstate(all="ignore")
+    def vertices(self, pairs: np.ndarray):
+        """Float points x0 +- t c, t = sqrt((1 - |x0|^2) / |c|^2), with
+        per-coordinate bounds, for pairs known to meet; returns the points,
+        the bounds, the defining pair of each point and its sign of t."""
+        c, cc, x0, gap = self._frame(pairs)
+        step = c * (gap / cc).sqrt()
+        upper, lower = x0 + step, x0 - step
+        sigma = np.repeat([1, -1], len(pairs))
+        return (
+            np.concatenate([upper.val, lower.val]),
+            np.concatenate([upper.err, lower.err]),
+            np.concatenate([pairs, pairs]),
+            sigma,
+        )
+
+    def exact_sign(self, pair, sigma: int, row) -> int:
+        """Exact sign of <a, x> + b at the vertex of ``pair`` with sign
+        ``sigma``, for the integer row (a, b): the sign of
+        <a, P> + b D + sigma sqrt(E) <a, Q>."""
+        p, q, d, e = self.exact_pair(*pair)
+        a, b = row[:3], row[3]
+        return _sign_with_root(dot(a, p) + b * d, int(sigma) * dot(a, q), e)
+
+
+def _cap_body_planes(
+    units: np.ndarray, mults: np.ndarray, apexes: np.ndarray, tau: float
+):
+    """The planes of a cap-body check, in R^3 (a planar body lies in
+    x3 = 0): first each direction u as (u, tau), since u counts at the
+    normal n when <u, n> + tau < 0, with the multiplicities of equal rows
+    merged; then each apex v as (v, -1), since n lies in the open cap of v
+    when <v, n> - 1 > 0.  Returns the arrangement and the weight of every
+    row, 0 for the apex rows."""
+    pad = (0.0,) * (3 - units.shape[1])
+    directions, caps = {}, {}
+    for row, mult in zip(units.tolist(), mults.tolist()):
+        frow = (*row, *pad, tau)
+        directions.setdefault(Direction(frow)._canonical(), [frow, 0])[1] += mult
+    for v in apexes.tolist():
+        frow = (*v, *pad, -1.0)
+        caps.setdefault(Direction(frow)._canonical(), [frow, 0])
+    merged = list(directions.items()) + list(caps.items())
+    arrangement = _Arrangement([f for _, (f, _) in merged], [key for key, _ in merged])
+    return arrangement, np.asarray([w for _, (_, w) in merged], dtype=np.int64)
+
+
+def _cap_body_vertices(arrangement: _Arrangement, dim: int):
+    """Candidate normals of a cap-body check: the vertices of the
+    arrangement of circles where the planes meet the sphere.
+
+    In R^3: every pairwise meeting point, tangencies included; for a
+    circle that meets no other, the two points where a plane through its
+    axis cuts it; with no circle at all, the poles.  A planar body is the
+    equator x3 = 0 of the same arrangement, so its candidates are the
+    points where each line meets that circle (the arc endpoints), or the
+    points (0, +-1, 0) with no line."""
+    rows = arrangement.rows
+    circles = [i for i, h in enumerate(rows) if h[3] * h[3] <= dot(h[:3], h[:3])]
+    if dim == 2:
+        equator = arrangement.add((0.0, 0.0, 1.0, 0.0), (0, 0, 1, 0))
+        pairs = [(i, equator) for i in circles]
+        if not circles:
+            pairs = [(arrangement.add((1.0, 0.0, 0.0, 0.0), (1, 0, 0, 0)), equator)]
+        return arrangement.vertices(np.asarray(pairs, dtype=np.intp))
+    first, second = np.triu_indices(len(circles), 1)
+    pairs = np.asarray(circles, dtype=np.intp)[np.stack([first, second], axis=1)]
+    pairs = pairs[arrangement.meeting(pairs)].reshape(-1, 2)
+    met = set(pairs.ravel().tolist())
+    extra = []
+    for i in circles:
+        if i not in met:
+            # a plane through the origin containing the axis a of circle i:
+            # a x e_k for the axis e_k least aligned with a (exact in float)
+            k = int(np.argmin(np.abs(arrangement.frows[i, :3])))
+            axis = [0, 0, 0]
+            axis[k] = 1
+            frow = (*_cross3(arrangement.frows[i, :3].tolist(), axis), 0.0)
+            row = (*_cross3(rows[i][:3], axis), 0)
+            extra.append((i, arrangement.add(frow, row)))
+    if not circles:
+        extra.append((
+            arrangement.add((1.0, 0.0, 0.0, 0.0), (1, 0, 0, 0)),
+            arrangement.add((0.0, 1.0, 0.0, 0.0), (0, 1, 0, 0)),
+        ))
+    extra = np.asarray(extra, dtype=np.intp).reshape(-1, 2)
+    return arrangement.vertices(np.concatenate([pairs, extra]))
+
+
+@np.errstate(all="ignore")
+def _vertex_counts(arrangement: _Arrangement, vertices, weights: np.ndarray):
+    """For every candidate: does it lie in the closed region R (no apex
+    plane positive there), and the weighted count of direction planes
+    negative there.  Returns the mask, the counts and the number of signs
+    recomputed exactly.
+
+    All candidate x plane signs come from one float pass per chunk.  The
+    float value of <a, x~> + b at a float point x~ within e_i of x in each
+    coordinate is within sum |a_i| e_i + 3 _EPS (sum |a_i x~_i| + |b|) +
+    8 _ETA of the exact <a, x> + b: three products and three additions,
+    each rounding by at most _EPS / 2 times sum |a_i x~_i| + |b|.  The two planes
+    that define a vertex are 0 there by construction and are set so.  The
+    signs the band leaves open are recomputed exactly, apex planes first
+    and only where no decided apex sign already puts the point outside R,
+    then direction planes only at points inside R."""
+    points, errors, pairs, sigma = vertices
+    k = len(weights)
+    is_apex = weights == 0
+    a, b = arrangement.frows[:k, :3], arrangement.frows[:k, 3]
+    inside = np.zeros(len(points), dtype=bool)
+    counts = np.zeros(len(points), dtype=np.int64)
+    recomputed = 0
+    step = max(1, _SIGN_CHUNK // k)
+    for lo in range(0, len(points), step):
+        hi = min(lo + step, len(points))
+        x = points[lo:hi]
+        value = x @ a.T + b
+        bound = (errors[lo:hi] + 3 * _EPS * np.abs(x)) @ np.abs(a).T
+        sign, open_ = _filtered_sign(value, bound + 3 * _EPS * np.abs(b) + 8 * _ETA)
+        local = np.arange(hi - lo)
+        for column in pairs[lo:hi].T:
+            own = column < k
+            sign[local[own], column[own]] = 0
+            open_[local[own], column[own]] = False
+        outside = ((sign > 0) & is_apex).any(axis=1)
+        for cols in (is_apex, ~is_apex):
+            todo = open_ & cols & ~outside[:, None]
+            for r, col in zip(*np.nonzero(todo)):
+                sign[r, col] = arrangement.exact_sign(
+                    pairs[lo + r], sigma[lo + r], arrangement.rows[col]
+                )
+            recomputed += int(todo.sum())
+            outside = ((sign > 0) & is_apex).any(axis=1)
+        inside[lo:hi] = ~outside
+        counts[lo:hi] = (sign < 0) @ weights
+    return inside, counts, recomputed
+
+
+def _apex_lit_exact(u, v, tau) -> bool:
+    """-<u, v> - tau |v| > sqrt(|v|^2 - 1) for the rational values of the
+    floats, decided by squaring twice.  With a = -<u, v> and r2 = |v|^2 the
+    left side is positive iff a > 0 and a^2 > tau^2 r2; then the inequality
+    squares to l > 2 a tau sqrt(r2) with l = a^2 + tau^2 r2 - r2 + 1, whose
+    right side is >= 0, so it holds iff l > 0 and l^2 > 4 a^2 tau^2 r2."""
+    u, v, t = frac_vec(u), frac_vec(v), Fraction(tau)
+    a, r2 = -dot(u, v), dot(v, v)
+    if a <= 0 or a * a <= t * t * r2:
+        return False
+    lhs = a * a + t * t * r2 - r2 + 1
+    return lhs > 0 and lhs * lhs > 4 * a * a * t * t * r2
+
+
+@np.errstate(all="ignore")
+def _apex_counts(
+    apexes: np.ndarray, units: np.ndarray, mults: np.ndarray, tau: float
+):
+    """Weighted count per apex v of the directions u lighting it with
+    margin tau: -<u, v/|v|> - cos(beta) > tau with cos(beta) =
+    sqrt(|v|^2 - 1) / |v|, the spike-cone test, i.e. (times |v|)
+    -<u, v> - tau |v| > sqrt(|v|^2 - 1).  Float with bounds, and
+    ``_apex_lit_exact`` where the bound leaves the sign open."""
+    v = _Bounded(apexes[:, None, :])
+    u = _Bounded(units[None, :, :])
+    r2 = (v * v).sum()
+    value = -(u * v).sum() - _Bounded(tau) * r2.sqrt() - (r2 - _Bounded(1.0)).sqrt()
+    sign, open_ = _filtered_sign(value.val[..., 0], value.err[..., 0])
+    lit = sign > 0
+    for i, j in zip(*np.nonzero(open_)):
+        lit[i, j] = _apex_lit_exact(units[j].tolist(), apexes[i].tolist(), tau)
+    return lit.astype(np.int64) @ mults
+
+
+def _verify_cap_body(spec, multiset: DirectionMultiset, m: int, tau: float):
+    """Exact m-fold verdict on a cap body of the unit ball, d = 2 or 3, for
+    the rational values of the float unit directions and apexes.
+
+    Its boundary points are the sphere points whose normal n lies in the
+    closed region R = {n : <v_i, n> <= 1 for every apex v_i}, the spike
+    surfaces, whose normals are the points of R on the circles
+    <v_i, n> = 1, and the apexes.  A direction u counts at normal n when
+    <u, n> < -tau, and at apex v by the spike-cone test.  The count on R
+    is constant on the faces of the arrangement of the circles
+    <u_j, n> = -tau and <v_i, n> = 1, and it can only drop on their
+    closures.  R is closed and made of such faces, so its minimum is taken
+    on the closure of a face inside R, which holds a vertex of the
+    arrangement, or is a whole circle that meets no other, or is the whole
+    sphere when there is no circle: ``_cap_body_vertices``.  Apexes are
+    checked one by one.  ``samples`` counts the points evaluated: the
+    candidates in R and the apexes."""
+    dim = spec.dim
+    if dim not in (2, 3):
+        raise UnsupportedBody(
+            "exact cap-body verification is implemented for d in {2, 3}"
+        )
+    units, mults = multiset.as_arrays()
+    apexes = spec.apex_array().reshape(-1, dim)
+    arrangement, weights = _cap_body_planes(units, mults, apexes, tau)
+    vertices = _cap_body_vertices(arrangement, dim)
+    inside, counts, _ = _vertex_counts(arrangement, vertices, weights)
+    apex_counts = _apex_counts(apexes, units, mults, tau)
+    normals = vertices[0][inside, :dim]
+    points = np.concatenate([normals, apexes])
+    counts = np.concatenate([counts[inside], apex_counts])
+    wi = _worst_index(points, counts)
+    if wi < len(normals):
+        margins = -(units @ normals[wi])
+    else:
+        v = points[wi]
+        r = float(np.linalg.norm(v))
+        margins = -(units @ v) / r - math.sqrt(r * r - 1.0) / r
+    return _report(m, points[wi].tolist(), counts[wi], margins, mults, len(points))
+
+
 def verify_mfold(
     body,
     multiset: DirectionMultiset,
     m: int,
     tol: Tolerance = Tolerance(),
 ) -> IlluminationReport:
-    """m-fold illumination verdict: exact for a polygon, a ball and a smooth
-    2D body (the latter two for the rational values of the float unit
-    directions), sampled with strictness margin for a cap body of a ball."""
+    """m-fold illumination verdict, exact for a polygon, a ball, a smooth 2D
+    body and a cap body of the 2- or 3-ball (all but the polygon for the
+    rational values of the float unit directions), with strictness margin
+    ``tol.margin``."""
     if m < 1:
         raise DomainError("m must be >= 1")
     body_dim = getattr(body, "dim", 2)
@@ -752,6 +1139,5 @@ def verify_mfold(
             raise PreconditionViolation(
                 "cap body is invalid: an apex pair's segment misses the ball"
             )
-        samples = body.boundary_sample_set(resolve_samples(tol, body.dim))
-        return verify_samples(samples, multiset, m, tol)
+        return _verify_cap_body(body, multiset, m, tol.margin)
     raise UnsupportedBody(f"cannot verify body of kind {type(body).__name__}")

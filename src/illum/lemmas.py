@@ -31,7 +31,7 @@ from .capbody import (
     validate_cap_body,
 )
 from .errors import DomainError
-from .geometry import Ball, Tolerance, verify_mfold
+from .geometry import Ball, verify_mfold
 
 
 @dataclass
@@ -253,19 +253,18 @@ def lemma_cap_containment(rng, trials=400, sphere_samples=50) -> LemmaResult:
 def lemma_submultiset_monotonicity(rng, m: int = 1) -> LemmaResult:
     """A multiset verified on a cap body also verifies on any cap body built
     from a subset of its apexes, including the bare ball."""
-    tol = Tolerance(samples=20_000)
     apexes = b3_prism_apexes(4, with_bottom=True)
-    multiset = b3_capbody_directions(4, m, with_bottom=True, tol=tol)
+    multiset = b3_capbody_directions(4, m, with_bottom=True)
     subsets = [apexes[:4], [apexes[4]], apexes[:5]]
     for sub in subsets:
         spec = CapBodySpec(dim=3, apexes=sub)
         if not validate_cap_body(spec):
             return LemmaResult("submultiset_monotonicity", False, "invalid subset")
-        if not verify_mfold(spec, multiset, m, tol).passed:
+        if not verify_mfold(spec, multiset, m).passed:
             return LemmaResult(
                 "submultiset_monotonicity", False, f"failed on subset of {len(sub)}"
             )
-    if not verify_mfold(Ball(3), multiset, m, tol).passed:
+    if not verify_mfold(Ball(3), multiset, m).passed:
         return LemmaResult("submultiset_monotonicity", False, "failed on the ball")
     return LemmaResult("submultiset_monotonicity", True)
 

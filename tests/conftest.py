@@ -3,8 +3,9 @@ import os
 import pytest
 
 import illum
+from illum import _kernels
 from illum.errors import DomainError
-from illum.geometry import ConvexPolygon, angle_sort_key
+from illum.geometry import ConvexPolygon, _report, _worst_index, angle_sort_key
 
 
 def random_convex_polygon(rng, n: int, coord_range: int = 12) -> ConvexPolygon:
@@ -59,3 +60,19 @@ def child_env():
         return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **overrides}
 
     return build
+
+
+def sampled_report(samples, multiset, m: int, tau: float = 1e-6):
+    """Reference verdict over a ``SampleSet``: count the directions whose
+    margin exceeds ``tau`` at every sample with the numpy kernel and report
+    the least-counted sample.  No counterexample among the samples is no
+    proof; the exact verifiers are compared against it."""
+    units, mults = multiset.as_arrays()
+    counts = _kernels.count_illuminating(
+        samples.normals, samples.offsets, units, mults, tau
+    )
+    wi = _worst_index(samples.points, counts)
+    margins = -(units @ samples.normals[wi]) - samples.offsets[wi]
+    return _report(
+        m, samples.points[wi].tolist(), counts[wi], margins, mults, len(samples.points)
+    )

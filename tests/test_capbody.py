@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -23,8 +24,20 @@ from illum.capbody import (
     validate_cap_body,
 )
 from illum.errors import ConstructionFailure, DomainError, PreconditionViolation
-from illum.geometry import Tolerance, verify_mfold
+from illum.geometry import (
+    DirectionMultiset,
+    SampleSet,
+    Tolerance,
+    _cap_body_planes,
+    _cap_body_vertices,
+    _vertex_counts,
+    sphere_sample,
+    verify_mfold,
+)
+from illum.jsonio import capbody_from_json, multiset_from_json
 from illum.polygons import regular_polygon_number
+
+from conftest import sampled_report
 
 SQRT2 = math.sqrt(2)
 
@@ -278,7 +291,7 @@ class TestSingleSpikeDirections:
         multiset = b2_single_spike_directions(v, m)
         assert multiset.total == 2 * m + 1
         spec = CapBodySpec(2, [v])
-        assert verify_mfold(spec, multiset, m, Tolerance(samples=20_000)).passed
+        assert verify_mfold(spec, multiset, m).passed
 
     def test_apex_inside_rejected(self):
         with pytest.raises(DomainError):
@@ -292,8 +305,7 @@ class TestCapBodyDirections:
         + [(n, m, b) for n in (9, 11, 13) for m in (1, 2, 3) for b in (False, True)],
     )
     def test_construction_verifies_and_matches_formula(self, n, m, with_bottom):
-        tol = Tolerance(samples=50_000)
-        multiset = b3_capbody_directions(n, m, with_bottom=with_bottom, tol=tol)
+        multiset = b3_capbody_directions(n, m, with_bottom=with_bottom)
         want = (
             cap_body_number_top_bottom(n, m)
             if with_bottom
@@ -301,7 +313,7 @@ class TestCapBodyDirections:
         )
         assert multiset.total == want
         spec = CapBodySpec(3, apexes=b3_prism_apexes(n, with_bottom))
-        assert verify_mfold(spec, multiset, m, tol).passed
+        assert verify_mfold(spec, multiset, m).passed
 
     def test_slot_multiplicities_cover_every_window(self):
         for n in range(3, 41):
@@ -330,6 +342,17 @@ class TestCapBodyDirections:
         spec = CapBodySpec(3, apexes=b3_prism_apexes(n, with_bottom))
         assert not verify_mfold(spec, short, m).passed
 
+    @pytest.mark.parametrize("with_bottom", [False, True])
+    def test_n100_constructs_and_verifies(self, with_bottom):
+        multiset = b3_capbody_directions(100, 1, with_bottom=with_bottom)
+        assert multiset.total == (
+            cap_body_number_top_bottom(100, 1)
+            if with_bottom
+            else cap_body_number_top_only(100, 1)
+        )
+        spec = CapBodySpec(3, apexes=b3_prism_apexes(100, with_bottom))
+        assert verify_mfold(spec, multiset, 1).passed
+
     def test_failed_check_raises(self, monkeypatch):
         from illum import capbody
 
@@ -344,7 +367,7 @@ class TestCapBodyDirections:
         spec = CapBodySpec(2, [(2, 0), (2.1, 0.01)])
         dirs = DirectionMultiset.from_vectors([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(PreconditionViolation):
-            verify_mfold(spec, dirs, 1, Tolerance(samples=1000))
+            verify_mfold(spec, dirs, 1)
 
     def test_apex_predicate_consistency(self):
         # straight down lights the top apex, not the ring
@@ -369,7 +392,7 @@ class TestMultiApexDisk:
         dirs = DirectionMultiset.from_vectors(
             [(-1.0, 0.05), (1.0, 0.05), (0.0, -1.0)]
         )
-        report = verify_mfold(self.SPEC, dirs, 1, Tolerance(samples=20_000))
+        report = verify_mfold(self.SPEC, dirs, 1)
         assert report.passed
 
     def test_axis_pairs_fail_each_apex_needs_its_own(self):
@@ -380,5 +403,265 @@ class TestMultiApexDisk:
         dirs = DirectionMultiset.from_vectors(
             [(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)]
         )
-        assert verify_mfold(self.SPEC, dirs, 1, Tolerance(samples=20_000)).passed
-        assert not verify_mfold(self.SPEC, dirs, 2, Tolerance(samples=20_000)).passed
+        assert verify_mfold(self.SPEC, dirs, 1).passed
+        assert not verify_mfold(self.SPEC, dirs, 2).passed
+
+
+def _random_apexes(rng, count):
+    """``count`` random apexes at distance 1.05..2.5 forming a valid body."""
+    while True:
+        v = rng.normal(size=(count, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        v *= rng.uniform(1.05, 2.5, size=(count, 1))
+        spec = CapBodySpec(3, [tuple(float(c) for c in a) for a in v])
+        if validate_cap_body(spec):
+            return spec
+
+
+def _region_samples(spec, n_sphere):
+    """Sphere samples in the closed region R outside every open cap, and
+    the apexes with their spike-cone offsets: the boundary the exact
+    verifier checks, without the spike surfaces outside R."""
+    apexes = spec.apex_array()
+    pts = sphere_sample(spec.dim, n_sphere)
+    pts = pts[(pts @ apexes.T <= 1.0).all(axis=1)]
+    r = np.linalg.norm(apexes, axis=1)
+    return SampleSet(
+        points=np.concatenate([pts, apexes]),
+        normals=np.concatenate([pts, apexes / r[:, None]]),
+        offsets=np.concatenate([np.zeros(len(pts)), np.sqrt(r * r - 1.0) / r]),
+    )
+
+
+def _sign_with_root_reference(p, q, t):
+    """Sign of p + q sqrt(t) for rationals p, q and t >= 0."""
+    if t == 0 or q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0 or (p > 0) == (q > 0):
+        return 1 if (p > 0 or (p == 0 and q > 0)) else -1
+    gap = p * p - q * q * t
+    return ((p > 0) - (p < 0)) if gap > 0 else ((q > 0) - (q < 0)) if gap < 0 else 0
+
+
+def _exact_counts_reference(arrangement, vertices, weights):
+    """In-region mask and counts of every vertex from rational arithmetic:
+    the vertex of planes (a1, b1), (a2, b2) is x0 + s sqrt(t) c with x0 in
+    the span of a1, a2 solving the 2 x 2 Gram system, c = a1 x a2 and
+    t = (1 - |x0|^2) / |c|^2."""
+    rows = [tuple(Fraction(x) for x in r) for r in arrangement.frows.tolist()]
+    k = len(weights)
+    inside, counts = [], []
+    for (i, j), s in zip(vertices[2].tolist(), vertices[3].tolist()):
+        a1, b1, a2, b2 = rows[i][:3], rows[i][3], rows[j][:3], rows[j][3]
+        g11, g12, g22 = (
+            sum(x * y for x, y in zip(a1, a1)),
+            sum(x * y for x, y in zip(a1, a2)),
+            sum(x * y for x, y in zip(a2, a2)),
+        )
+        det = g11 * g22 - g12 * g12
+        alpha = (-b1 * g22 + b2 * g12) / det
+        beta = (-b2 * g11 + b1 * g12) / det
+        x0 = [alpha * x + beta * y for x, y in zip(a1, a2)]
+        c = (a1[1] * a2[2] - a1[2] * a2[1], a1[2] * a2[0] - a1[0] * a2[2],
+             a1[0] * a2[1] - a1[1] * a2[0])
+        t = (1 - sum(x * x for x in x0)) / det
+        signs = [
+            _sign_with_root_reference(
+                sum(x * y for x, y in zip(h[:3], x0)) + h[3],
+                s * sum(x * y for x, y in zip(h[:3], c)),
+                t,
+            )
+            for h in rows[:k]
+        ]
+        inside.append(all(g <= 0 for g, w in zip(signs, weights) if w == 0))
+        counts.append(sum(int(w) for g, w in zip(signs, weights) if g < 0))
+    return inside, counts
+
+
+#: rational unit vectors (x, y, z) / q with a coordinate that is a power of
+#: two, so that rows through them can be solved in binary floats
+RATIONAL_POINTS = [
+    (3, 4, 0, 5), (3, 0, 4, 5), (2, 1, 2, 3), (1, 2, 2, 3),
+    (2, 3, 6, 7), (6, 2, 3, 7), (1, 4, 8, 9), (4, 4, 7, 9),
+]
+
+
+def _row_through(rng, point, value):
+    """A dyadic row a with <a, p> = value exactly at p = point[:3] / point[3]."""
+    *p, q = point
+    k = next(i for i in range(3) if p[i] and p[i] & (p[i] - 1) == 0)
+    a = [Fraction(int(rng.integers(-24, 25)), 8) for _ in range(3)]
+    a[k] = (value * q - sum(a[i] * p[i] for i in range(3) if i != k)) / p[k]
+    return [float(x) for x in a]
+
+
+class TestExactCapBodyVerifier:
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_construction_worst_count_matches_sampler(self, n):
+        for m in (1, 2, 3):
+            for with_bottom in (False, True):
+                multiset = b3_capbody_directions(n, m, with_bottom=with_bottom)
+                spec = CapBodySpec(3, apexes=b3_prism_apexes(n, with_bottom))
+                exact = verify_mfold(spec, multiset, m)
+                sampled = sampled_report(spec.boundary_sample_set(200_000), multiset, m)
+                assert exact.passed and exact.worst_count == sampled.worst_count
+
+    def test_never_above_the_sampled_count_on_random_specs(self):
+        rng = np.random.default_rng(2026)
+        for trial in range(300):
+            spec = _random_apexes(rng, 1 + trial % 2)
+            k = int(rng.integers(3, 9))
+            multiset = DirectionMultiset.from_vectors(
+                [tuple(float(c) for c in u) for u in rng.normal(size=(k, 3))],
+                [int(c) for c in rng.integers(1, 3, size=k)],
+            )
+            exact = verify_mfold(spec, multiset, 1)
+            sampled = sampled_report(_region_samples(spec, 20_000), multiset, 1)
+            assert exact.worst_count <= sampled.worst_count, trial
+
+    @pytest.mark.parametrize(
+        "v,m", [((SQRT2, 0), 2), ((10, 0), 2), ((SQRT2, 0), 1), ((1.3, 0.8), 3)]
+    )
+    def test_planar_route_matches_sampler(self, v, m):
+        spec = CapBodySpec(2, [v])
+        full = b2_single_spike_directions(v, m)
+        first, _ = full.entries[0]
+        for multiset in (full, DirectionMultiset(full.entries[1:])):
+            exact = verify_mfold(spec, multiset, m)
+            sampled = sampled_report(spec.boundary_sample_set(100_000), multiset, m)
+            assert (exact.passed, exact.worst_count) == (
+                sampled.passed, sampled.worst_count
+            )
+        assert verify_mfold(spec, full, m).passed
+        assert not verify_mfold(spec, DirectionMultiset(full.entries[1:]), m).passed
+
+    def test_pinned_instance_a_sample_misses(self):
+        from pathlib import Path
+
+        path = Path(__file__).parent / "data" / "capbody_sampling_miss.json"
+        doc = json.loads(path.read_text())
+        spec = capbody_from_json(doc["spec"])
+        multiset = multiset_from_json(doc["directions"])
+        sampled = sampled_report(spec.boundary_sample_set(200_000), multiset, doc["m"])
+        assert sampled.passed and sampled.worst_count == 2
+        exact = verify_mfold(spec, multiset, doc["m"])
+        assert not exact.passed and exact.worst_count == 0
+        point = np.asarray(exact.worst_point)
+        assert abs(np.linalg.norm(point) - 1.0) < 1e-12
+        assert (spec.apex_array() @ point <= 1.0).all()
+        units, _ = multiset.as_arrays()
+        assert (units @ point >= -1e-6 - 1e-12).all()  # no direction clears the margin
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_apexes_is_the_ball(self, dim):
+        from illum.geometry import Ball
+
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            k = int(rng.integers(dim, dim + 5))
+            multiset = DirectionMultiset.from_vectors(
+                [tuple(float(c) for c in u) for u in rng.normal(size=(k, dim))]
+            )
+            ball = verify_mfold(Ball(dim), multiset, 1)
+            bare = verify_mfold(CapBodySpec(dim, []), multiset, 1)
+            assert (bare.passed, bare.worst_count) == (ball.passed, ball.worst_count)
+        # a margin of 2 leaves no circle at all: one candidate pair, count 0
+        beyond = verify_mfold(CapBodySpec(dim, []), multiset, 1, Tolerance(margin=2.0))
+        assert beyond.worst_count == 0 and beyond.samples == 2
+
+    def test_apex_on_the_cone_is_not_lit(self):
+        # (-1, 0, 0) and (0, 0, -1) make exactly the cone half-angle pi/4
+        # with -(1, 0, 1); the six axis directions light every sphere point
+        axes = DirectionMultiset.from_vectors(
+            [tuple(float(s * (i == j)) for j in range(3))
+             for i in range(3) for s in (1, -1)]
+        )
+        on_cone = CapBodySpec(3, [(1.0, 0.0, 1.0)])
+        report = verify_mfold(on_cone, axes, 1, Tolerance(margin=0.0))
+        assert not report.passed and report.worst_count == 0
+        assert report.worst_point == (1.0, 0.0, 1.0)
+        # one ulp lower the apex's cone opens past (-1, 0, 0), by far less
+        # than a float test resolves
+        inside_cone = CapBodySpec(3, [(1.0, 0.0, 1.0 - 2.0 ** -52)])
+        assert verify_mfold(inside_cone, axes, 1, Tolerance(margin=0.0)).passed
+
+    def test_tangent_caps_meet_in_a_vertex(self):
+        # the planes x + y = 1 and x - y = 1 touch the sphere at (1, 0, 0)
+        arrangement, _ = _cap_body_planes(
+            np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+            np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]), 1e-6,
+        )
+        points = _cap_body_vertices(arrangement, 3)[0]
+        assert np.abs(points - [1.0, 0.0, 0.0]).max(axis=1).min() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_filtered_signs_match_rational_signs(self, seed):
+        # rows through a common rational point, some moved by one ulp, plus
+        # generic rows: the float filter must hand every close call to the
+        # exact test and decide the rest correctly
+        rng = np.random.default_rng(seed)
+        recomputed = 0
+        for point in RATIONAL_POINTS:
+            apexes = [_row_through(rng, point, 1) for _ in range(3)]
+            units = [_row_through(rng, point, 0) for _ in range(3)]
+            for rows in (apexes, units):
+                nudged = list(rows[-1])
+                nudged[0] = float(np.nextafter(nudged[0], np.inf * (-1) ** seed))
+                rows.append(nudged)
+            apexes.append((rng.normal(size=3) * 2).tolist())
+            units.append(rng.normal(size=3).tolist())
+            arrangement, weights = _cap_body_planes(
+                np.array(units), rng.integers(1, 3, size=len(units)),
+                np.array(apexes), 0.0,
+            )
+            vertices = _cap_body_vertices(arrangement, 3)
+            inside, counts, fallbacks = _vertex_counts(arrangement, vertices, weights)
+            want_inside, want_counts = _exact_counts_reference(
+                arrangement, vertices, weights
+            )
+            assert inside.tolist() == want_inside
+            assert counts[inside].tolist() == [
+                c for c, keep in zip(want_counts, want_inside) if keep
+            ]
+            recomputed += fallbacks
+        assert recomputed > 0
+
+    def test_generic_signs_need_no_exact_recomputation(self):
+        # the two planes that define a vertex are 0 there by construction;
+        # on generic data every other sign is far outside the band
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            units = rng.normal(size=(int(rng.integers(3, 9)), 3))
+            units /= np.linalg.norm(units, axis=1)[:, None]
+            apexes = _random_apexes(rng, int(rng.integers(1, 4))).apex_array()
+            arrangement, weights = _cap_body_planes(
+                units, np.ones(len(units), dtype=np.int64), apexes, 1e-6
+            )
+            vertices = _cap_body_vertices(arrangement, 3)
+            inside, _, recomputed = _vertex_counts(arrangement, vertices, weights)
+            assert inside.any() and recomputed == 0
+
+    def test_vertex_bounds_hold_near_tangency(self):
+        # the planes x + y + s z = 1 and x - y + t z = 1 meet the sphere at
+        # (1, 0, 0) and at a point about |s + t| away: near s = t = 0 the
+        # float vertices are known to about sqrt(eps) only, and their
+        # bounds must say so
+        from decimal import Decimal, getcontext
+
+        getcontext().prec = 80
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            s, t = rng.uniform(-1, 1, size=2) * 10.0 ** -rng.uniform(1, 9)
+            arrangement, _ = _cap_body_planes(
+                np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+                np.array([[1.0, 1.0, s], [1.0, -1.0, t]]), 0.0,
+            )
+            points, errors, pairs, sigma = _cap_body_vertices(arrangement, 3)
+            assert errors.max() > 1e-12 or abs(s + t) > 1e-4
+            for x, e, (i, j), sign in zip(points, errors, pairs.tolist(), sigma.tolist()):
+                p, q, d, root = arrangement.exact_pair(i, j)
+                for c in range(3):
+                    value = (
+                        Decimal(p[c]) + sign * Decimal(root).sqrt() * Decimal(q[c])
+                    ) / Decimal(d)
+                    assert abs(Decimal(float(x[c])) - value) <= Decimal(float(e[c]))

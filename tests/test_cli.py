@@ -79,14 +79,14 @@ class TestRoundTrips:
         spec = tmp_path / "spec.json"
         built = run(
             ["capbody-construct", "--n", "4", "-m", "1", "--top-bottom",
-             "--out", str(dirs), "--samples", "20000"]
+             "--out", str(dirs)]
         )
         assert built.status == "ok"
         assert built.payload["size"] == built.payload["expected"] == 6
         spec.write_text(dump_json(built.payload["spec"]))
         verified = run(
             ["capbody-verify", "--spec", str(spec), "--dirs", str(dirs),
-             "-m", "1", "--samples", "20000"]
+             "-m", "1"]
         )
         assert verified.status == "ok"
 
@@ -263,13 +263,17 @@ class TestErrors:
             ["ball-construct", "-m", "1", "--no-verify"],
             ["smooth-construct", "-m", "1", "--samples", "100"],
             ["smooth-construct", "-m", "1", "--no-verify"],
+            ["capbody-construct", "--n", "5", "-m", "1", "--samples", "100"],
+            ["capbody-verify", "--spec", "{path}", "--dirs", "{path}", "-m", "1",
+             "--samples", "100"],
         ],
         ids=["ball-verify-samples", "ball-construct-samples",
              "ball-construct-no-verify", "smooth-construct-samples",
-             "smooth-construct-no-verify"],
+             "smooth-construct-no-verify", "capbody-construct-samples",
+             "capbody-verify-samples"],
     )
     def test_removed_sample_and_verify_flags_exit_2(self, tmp_path, argv):
-        # balls and smooth bodies are verified exactly, always
+        # balls, smooth bodies and cap bodies are verified exactly, always
         path = tmp_path / "dirs.json"
         path.write_text('{"entries": [{"dir": [0, 0, -1]}]}')
         result = run([str(path) if a == "{path}" else a for a in argv])
@@ -318,6 +322,28 @@ class TestErrors:
         )
         assert result.status == "error" and result.exit_code == 2
         assert "too large" in result.payload["error"]
+
+    def test_construction_failure_prints_its_report(self, monkeypatch):
+        from illum import geometry
+
+        def failing(body, multiset, m, tol=geometry.Tolerance()):
+            return geometry.IlluminationReport(
+                passed=False, m=m, worst_point=(0.0, 0.0, 1.0), worst_count=m - 1,
+                worst_margin=-0.5, samples=7,
+            )
+
+        monkeypatch.setattr(geometry, "verify_mfold", failing)
+        result = run(["capbody-construct", "--n", "5", "-m", "2"])
+        assert result.status == "error" and result.exit_code == 2
+        assert result.payload["error"].startswith("ConstructionFailure")
+        assert result.payload["report"] == {
+            "schema": "v1", "pass": False, "m": 2, "worst_point": [0.0, 0.0, 1.0],
+            "worst_count": 1, "worst_margin": -0.5, "samples": 7,
+        }
+
+    def test_other_errors_carry_no_report(self):
+        result = run(["capbody-construct", "--n", "2", "-m", "1"])
+        assert result.status == "error" and "report" not in result.payload
 
     @pytest.mark.parametrize("d", ["2", "4", "5"])
     def test_eps_without_the_3_ball_exits_2(self, d):

@@ -20,12 +20,11 @@ from illum.geometry import (
     illuminates_by_point,
     sphere_sample,
     verify_mfold,
-    verify_samples,
 )
 from illum.balls import b3_direction_multiset
 from illum.polygons import polygon_piercing_solution, smooth_2d_directions
 
-from conftest import random_convex_polygon, random_direction_2d
+from conftest import random_convex_polygon, random_direction_2d, sampled_report
 
 SQUARE = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 
@@ -323,7 +322,7 @@ class TestDimensionMismatch:
     def test_rejected(self):
         three_d = DirectionMultiset.from_vectors([(0.0, 0.0, -1.0)])
         with pytest.raises(DomainError):
-            verify_mfold(Ball(2), three_d, 1, Tolerance(samples=100))
+            verify_mfold(Ball(2), three_d, 1)
         with pytest.raises(DomainError):
             verify_mfold(SQUARE, three_d, 1)
 
@@ -359,9 +358,7 @@ class TestExactBallVerifier:
     def test_finds_the_minimum_a_sample_misses(self):
         multiset = DirectionMultiset.from_vectors(self.SAMPLING_MISSES)
         pts = sphere_sample(3, 200_000)
-        sampled = verify_samples(
-            SampleSet(pts, pts, np.zeros(len(pts))), multiset, 2, Tolerance()
-        )
+        sampled = sampled_report(SampleSet(pts, pts, np.zeros(len(pts))), multiset, 2)
         assert sampled.passed and sampled.worst_count == 2
         report = verify_mfold(Ball(3), multiset, 2)
         assert not report.passed and report.worst_count == 1

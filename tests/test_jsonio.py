@@ -44,10 +44,10 @@ def test_capbody_round_trip():
 
 
 def test_report_json_keys():
-    from illum.geometry import Ball, Tolerance, verify_mfold
+    from illum.geometry import Ball, verify_mfold
 
     multiset = DirectionMultiset.from_vectors([(0.0, -1.0), (0.0, 1.0), (1.0, 0.1)])
-    doc = report_to_json(verify_mfold(Ball(2), multiset, 1, Tolerance(samples=500)))
+    doc = report_to_json(verify_mfold(Ball(2), multiset, 1))
     assert set(doc) == {
         "schema", "pass", "m", "worst_point", "worst_count", "worst_margin", "samples",
     }

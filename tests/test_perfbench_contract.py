@@ -1,0 +1,51 @@
+"""The benchmark in ``perfbench/`` reaches into illum by module, function and
+method name.  These checks import its ``run.py`` and ``layers.py`` unchanged,
+so a change to ``src/`` that removes a name they use fails here rather than
+in a benchmark run."""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``perfbench/run.py`` as a module; it imports ``layers`` itself.  The
+    import path and module table are restored afterwards."""
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(run)
+        yield run
+    finally:
+        sys.path[:] = saved_path
+        for name in ("layers", "workloads"):
+            if name not in saved_modules:
+                sys.modules.pop(name, None)
+
+
+def test_environment_reads(bench):
+    env = bench.environment()
+    assert env["python"] and env["numpy"] and env["nproc"] >= 1
+
+
+def test_trace_installs_and_removes_cleanly(bench):
+    layers = bench.layers
+    entries = layers.traced_functions()
+    assert entries
+    installation = layers.Installation(layers.Tracer())
+    try:
+        assert layers.escaped_references(installation.table) == []
+        for _, owner, attr, fn in entries:
+            assert getattr(owner, attr).__wrapped__ is fn
+    finally:
+        installation.remove()
+    for _, owner, attr, fn in entries:
+        current = vars(owner)[attr] if inspect.isclass(owner) else getattr(owner, attr)
+        assert current is fn

@@ -7,7 +7,6 @@ import pytest
 from illum.errors import DomainError
 from illum.geometry import (
     ConvexPolygon,
-    Tolerance,
     ellipse_body,
     unit_circle_body,
     verify_mfold,
@@ -183,17 +182,14 @@ class TestSmoothDirections:
     def test_circle(self, m):
         multiset = smooth_2d_directions(unit_circle_body(), m)
         assert multiset.total == 2 * m + 1
-        report = verify_mfold(
-            unit_circle_body(), multiset, m, Tolerance(samples=20_000)
-        )
-        assert report.passed
+        assert verify_mfold(unit_circle_body(), multiset, m).passed
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_ellipse(self, m):
         body = ellipse_body(2, 1)
         multiset = smooth_2d_directions(body, m)
         assert multiset.total == 2 * m + 1
-        assert verify_mfold(body, multiset, m, Tolerance(samples=20_000)).passed
+        assert verify_mfold(body, multiset, m).passed
 
 
 class TestRationalRegularSurrogates:
