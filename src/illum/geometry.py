@@ -241,6 +241,8 @@ class ConvexPolygon:
 
     def __init__(self, vertices):
         verts = tuple(frac_vec(v) for v in vertices)
+        if any(len(v) != 2 for v in verts):
+            raise DomainError("polygon vertices need exactly two coordinates")
         if len(verts) < 3:
             raise DomainError("polygon needs at least 3 vertices")
         if len(set(verts)) != len(verts):

@@ -69,6 +69,8 @@ def polygon_to_json(poly: ConvexPolygon) -> dict:
 def polygon_from_json(doc: dict) -> ConvexPolygon:
     _check_schema(doc, "polygon")
     try:
+        if any(isinstance(c, bool) for v in doc["vertices"] for c in v):
+            raise DomainError("booleans are not coordinates")
         vertices = [tuple(Fraction(c) for c in v) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed polygon JSON: {exc}") from exc

@@ -7,12 +7,17 @@ exists.  Membership of the slot past start s in the open arc (a, b) is
 the exact half-open test s in [a, b), decided by orientation signs only,
 so the solver runs it on integer multiples of the endpoints.
 
-The optimum is found by a cut-and-unroll feasibility DP: fix a total T,
-cut the circle before the anchor slot, and solve the resulting
-difference-constraint system on prefix sums by longest paths.  An
-infeasible T-1 yields a positive cycle whose arcs form a chain wrapping
-the circle w times; ceil(k*m/w) for its k arcs is a matching lower
-bound, reported as the optimality certificate.
+A total T is infeasible exactly when some chain of k arcs with pairwise
+disjoint slot intervals wraps the circle w times with k*m > w*T (a
+positive cycle of the cut-and-unroll difference constraints below).  So
+the optimum is I^m(P) = ceil(m * rho) for every m at once, where
+rho = max k/w is the fractional illumination number I*(P) (M. Naszodi,
+"Fractional illumination of convex bodies", Contrib. Discrete Math. 4
+(2009)).  Earliest-end greedy on the slot intervals finds the densest
+chain in O(n) after the sort (W.-L. Hsu and K.-H. Tsai, "Linear time
+algorithms on circular-arc graphs", IPL 40 (1991)); one longest-path
+feasibility call at T = ceil(k*m/w) then yields the multiplicities, and
+the chain is the optimality certificate.
 """
 
 from __future__ import annotations
@@ -159,94 +164,81 @@ def _slot_intervals(ends) -> tuple[list[int], list[tuple[int, int]]]:
     return order, intervals
 
 
-def _feasible(intervals, n, m, total):
-    """Longest-path feasibility for the fixed-total unrolled system.
+def _greedy_chain(intervals, n) -> tuple[list[int], int]:
+    """Densest chain: k arcs with pairwise disjoint slot intervals that wrap
+    the circle w times, k/w as large as possible.
 
-    Nodes 0..n are prefix sums y_{-1}..y_{n-1} anchored at y_{-1}=0.
-    Returns (True, slot multiplicities) or (False, positive-cycle edges).
+    The circle of slots is unrolled twice.  From a position p the greedy
+    takes the arc with the smallest end among the arcs starting at or past
+    p (suffix minima over the starts) and moves to one past its end; the
+    copies starting in the second turn stand in for everything later.  The
+    walk is periodic mod n, so it ends in a cycle: the arcs taken since the
+    first visit of a position, wrapping (displacement)/n times.
+    Earliest-end greedy is optimal on every window, so the cycle has the
+    largest density (Hsu and Tsai 1991).
     """
-    edges = [(j, j + 1, 0, ("mono", j)) for j in range(n)]
+    best = [(3 * n, -1)] * (2 * n + 1)
     for i, (l, r) in enumerate(intervals):
-        wrap = l > r
-        w = m - total if wrap else m
-        edges.append((l, r + 1, w, ("arc", i, wrap)))
-    edges.append((n, 0, -total, ("close",)))
+        end = r if l <= r else r + n
+        best[l] = min(best[l], (end, i))
+        best[l + n] = min(best[l + n], (end + n, i))
+    for p in range(2 * n - 1, -1, -1):
+        best[p] = min(best[p], best[p + 1])
+    chain, seen, pos = [], {}, 0
+    while pos % n not in seen:
+        seen[pos % n] = (len(chain), pos)
+        end, i = best[pos % n]
+        chain.append(i)
+        pos += end + 1 - pos % n
+    first, first_pos = seen[pos % n]
+    return chain[first:], (pos - first_pos) // n
 
+
+def _feasible(intervals, n, m, total) -> list[int]:
+    """Slot multiplicities summing to ``total`` that pierce every arc m times.
+
+    Cut before slot 0 and unroll: nodes 0..n are the prefix sums
+    y_{-1}..y_{n-1} anchored at y_{-1}=0, and the constraints are solved by
+    longest paths.  A total below the optimum leaves a positive cycle and
+    the relaxation never settles; that means the chain bound is wrong.
+    """
+    edges = [(j, j + 1, 0) for j in range(n)]
+    edges += [(l, r + 1, m - total if l > r else m) for l, r in intervals]
+    edges.append((n, 0, -total))
     dist = [-(10 ** 18)] * (n + 1)
-    pred = [None] * (n + 1)
     dist[0] = 0
-
-    def relax_pass():
-        changed = None
-        for a, b, w, label in edges:
+    for _ in range(n + 1):
+        changed = False
+        for a, b, w in edges:
             if dist[a] + w > dist[b]:
                 dist[b] = dist[a] + w
-                pred[b] = (a, label)
-                changed = b
-        return changed
-
-    changed_node = None
-    for _ in range(n + 1):
-        changed_node = relax_pass()
-        if changed_node is None:
+                changed = True
+        if not changed:
             break
-    if changed_node is not None:
-        changed_node = relax_pass()
-    if changed_node is not None:
-        # keep pumping so every predecessor chain near the witness feeds from
-        # the positive cycle, then walk back onto it and collect its edges
-        for _ in range(2 * (n + 2)):
-            relax_pass()
-        v = changed_node
-        for _ in range(n + 2):
-            if pred[v] is None:
-                raise GeometryInternalError("positive-cycle walk escaped to source")
-            v = pred[v][0]
-        cycle_edges, seen, u = [], set(), v
-        while u not in seen:
-            seen.add(u)
-            if pred[u] is None:
-                raise GeometryInternalError("positive-cycle walk escaped to source")
-            a, label = pred[u]
-            cycle_edges.append(label)
-            u = a
-        cycle_edges.reverse()
-        return False, cycle_edges
+    else:
+        raise GeometryInternalError(f"total {total} is infeasible: wrong chain bound")
     x = [dist[j + 1] - dist[j] for j in range(n)]
     x[n - 1] += total - dist[n]
-    return True, x
-
-
-def _trivial_certificate(m: int) -> dict:
-    return {"anchor_arc": 0, "chain": [0], "wraps": 1, "bound": m}
-
-
-def _certificate_from_cycle(cycle_edges, m: int) -> dict:
-    chain = [lab[1] for lab in cycle_edges if lab[0] == "arc"]
-    wraps = sum(1 for lab in cycle_edges if lab[0] == "close") + sum(
-        1 for lab in cycle_edges if lab[0] == "arc" and lab[2]
-    )
-    if not chain or wraps == 0:
-        raise GeometryInternalError("degenerate infeasibility cycle")
-    return {
-        "anchor_arc": chain[0],
-        "chain": chain,
-        "wraps": wraps,
-        "bound": math.ceil(len(chain) * m / wraps),
-    }
+    return x
 
 
 def _concretize_slot(system: ArcSystem, ends, arc_idx: int, covering: list[int]):
     """Exact rational direction strictly inside every arc covering the slot.
 
     Rotates the start vector CCW by the rational rotation of parameter
-    t = 1/q (angle 2*atan(t)), doubling q until every strict membership
-    holds.  The tests run on q^2 times the rotated integer start; only the
-    accepted direction is built from the exact start.
+    t = 1/q (angle 2*atan(t) < 2/q), doubling q from 4 until every strict
+    membership holds.  The tests run on q^2 times the rotated integer start;
+    only the accepted direction is built from the exact start.
+
+    With every integer endpoint coordinate below 2^b in absolute value, two
+    distinct rays are at least 2^(-2b-1) apart (|cross| >= 1 over a product
+    of norms below 2^(2b+1)), so the rotation succeeds once q >= 2^(2b+2),
+    which 2b doublings reach; the loop allows 2b + 2.
     """
     sx, sy = ends[arc_idx][0]
+    b = max(abs(c).bit_length() for i in covering for v in ends[i] for c in v)
     q = 4
-    for _ in range(256):
+    for _ in range(2 * b + 3):
         c = q * q - 1
         w = (c * sx - 2 * q * sy, 2 * q * sx + c * sy)
         if all(in_open_arc(*ends[i], w) for i in covering):
@@ -265,38 +257,26 @@ def min_mfold_pierce(system: ArcSystem, m: int | None = None) -> PiercingSolutio
     n = system.n
     ends = [(_int_vec(arc.start), _int_vec(arc.end)) for arc in system.arcs]
     order, intervals = _slot_intervals(ends)
-
-    certificate = None
-    total = m
-    while total <= m * n:
-        ok, payload = _feasible(intervals, n, m, total)
-        if ok:
-            if certificate is None:
-                certificate = _trivial_certificate(m)
-            if certificate["bound"] != total:
-                raise GeometryInternalError(
-                    f"certificate bound {certificate['bound']} != optimum {total}"
-                )
-            slots, dirs = [], []
-            for k, mult in enumerate(payload):
-                if mult <= 0:
-                    continue
-                arc_idx = order[k]
-                covering = [
-                    i
-                    for i, (l, r) in enumerate(intervals)
-                    if (l <= k <= r if l <= r else not r < k < l)
-                ]
-                slots.append((arc_idx, mult))
-                dirs.append(_concretize_slot(system, ends, arc_idx, covering))
-            return PiercingSolution(
-                size=total, m=m, slots=slots, directions=dirs, certificate=certificate
-            )
-        certificate = _certificate_from_cycle(payload, m)
-        # the cycle stays positive for every total below its bound, so the
-        # scan can jump there directly
-        total = max(total + 1, certificate["bound"])
-    raise GeometryInternalError("piercing search exceeded the m*n upper bound")
+    chain, wraps = _greedy_chain(intervals, n)
+    total = -(-len(chain) * m // wraps)
+    slots, dirs = [], []
+    for k, mult in enumerate(_feasible(intervals, n, m, total)):
+        if mult <= 0:
+            continue
+        arc_idx = order[k]
+        covering = [
+            i
+            for i, (l, r) in enumerate(intervals)
+            if (l <= k <= r if l <= r else not r < k < l)
+        ]
+        slots.append((arc_idx, mult))
+        dirs.append(_concretize_slot(system, ends, arc_idx, covering))
+    return PiercingSolution(
+        size=total, m=m, slots=slots, directions=dirs,
+        certificate={
+            "anchor_arc": chain[0], "chain": chain, "wraps": wraps, "bound": total
+        },
+    )
 
 
 def certificate_lower_bound(system: ArcSystem, certificate: dict, m: int) -> int:

@@ -1,6 +1,7 @@
 """Solver stress tests on arc systems that do not come from polygons:
 wild lengths, wrap-around coverage runs, duplicate start directions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +44,22 @@ class TestGenericArcSystems:
             assert verify_piercing(system, solution, m)
             assert certificate_lower_bound(
                 system, solution.certificate, m
-            ) >= solution.size
+            ) == solution.size
+
+    def test_one_chain_for_every_m(self):
+        # the greedy chain does not depend on m, and its density k/w gives
+        # the optimum ceil(m*k/w) for every m
+        rng = np.random.default_rng(1618)
+        for _ in range(150):
+            system = random_arc_system(rng, int(rng.integers(1, 14)))
+            first = min_mfold_pierce(system, 1).certificate
+            chain, wraps = first["chain"], first["wraps"]
+            for m in range(1, 9):
+                solution = min_mfold_pierce(system, m)
+                assert solution.certificate["chain"] == chain
+                assert solution.certificate["wraps"] == wraps
+                assert solution.size == math.ceil(Fraction(m * len(chain), wraps))
+                assert verify_piercing(system, solution, m)
 
     def test_duplicate_start_directions(self):
         # two arcs share a start, one much longer than the other
@@ -108,3 +124,16 @@ class TestSkewedPolygons:
             solution = min_mfold_pierce(system, 2)
             assert verify_piercing(system, solution, 2)
             assert verify_mfold(sliver, solution.as_direction_multiset(), 2).passed
+
+    @pytest.mark.parametrize("exponent", [100, 400])
+    def test_huge_lattice_slivers(self, exponent):
+        # arcs of angle about 10**-exponent at the long vertex; the slot
+        # rotation needs as many doublings as the endpoints have bits
+        from illum.geometry import ConvexPolygon
+        from illum.polygons import vertex_arcs
+
+        system = vertex_arcs(ConvexPolygon([(0, 0), (10**exponent, 0), (0, 1)]))
+        for m in (1, 2):
+            solution = min_mfold_pierce(system, m)
+            assert solution.size == 3 * m
+            assert verify_piercing(system, solution, m)

@@ -248,6 +248,19 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
         assert "error" in result.payload
 
+    @pytest.mark.parametrize("command", ["polygon-solve", "polygon-check-condition"])
+    @pytest.mark.parametrize(
+        "vertex",
+        [["0"], ["0", "0", "0"], [True, False]],
+        ids=["one-coordinate", "three-coordinates", "booleans"],
+    )
+    def test_malformed_vertex_exits_2(self, tmp_path, command, vertex):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"vertices": [vertex, ["3", "0"], ["0", "3"]]}))
+        result = run([command, "--polygon", str(path), "-m", "1"])
+        assert result.status == "error" and result.exit_code == 2
+        assert "error" in result.payload
+
     def test_nan_direction_exits_2(self, tmp_path):
         path = tmp_path / "dirs.json"
         path.write_text('{"entries": [{"dir": [NaN, 0, 0]}, {"dir": [0, 0, -1]}]}')

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from illum import piercing
 from illum.errors import DomainError, GeometryInternalError
 from illum.geometry import cross2, dot, verify_mfold
 from illum.piercing import (
@@ -117,7 +118,7 @@ class TestSolverOnRandomPolygons:
             assert solution.certificate["bound"] == solution.size
             assert (
                 certificate_lower_bound(system, solution.certificate, m)
-                >= solution.size
+                == solution.size
             )
             assert "anchor_arc" in solution.certificate
 
@@ -134,6 +135,40 @@ class TestSolverOnRandomPolygons:
             poly = random_convex_polygon(rng, n)
             for m in (1, 2, 3):
                 assert illumination_number_polygon(poly, m) >= 2 * m + 1
+
+
+class TestGreedyChain:
+    @pytest.mark.parametrize("n", [*range(3, 61), 200, 499, 1000])
+    def test_regular_density_is_the_formula(self, n):
+        system = vertex_arcs(regular_polygon_rational(n))
+        for m in (1, 3) if n <= 60 else (3,):
+            solution = min_mfold_pierce(system, m)
+            chain, wraps = solution.certificate["chain"], solution.certificate["wraps"]
+            assert Fraction(len(chain), wraps) == Fraction(n, (n - 1) // 2)
+            assert solution.size == regular_polygon_number(n, m)
+
+    def test_one_feasibility_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return feasible(*args)
+
+        feasible = piercing._feasible
+        monkeypatch.setattr(piercing, "_feasible", counting)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            system = vertex_arcs(random_convex_polygon(rng, int(rng.integers(3, 11))))
+            calls.clear()
+            solution = min_mfold_pierce(system, 2)
+            assert len(calls) == 1 and calls[0][-1] == solution.size
+
+    def test_total_below_the_bound_is_an_internal_error(self):
+        system = vertex_arcs(regular_polygon_rational(7))
+        _, intervals = _slot_intervals(int_ends(system))
+        assert sum(piercing._feasible(intervals, 7, 3, 7)) == 7
+        with pytest.raises(GeometryInternalError):
+            piercing._feasible(intervals, 7, 3, 6)
 
 
 class TestBruteForceGuard:
