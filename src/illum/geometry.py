@@ -1,7 +1,9 @@
 """Geometric primitives and the two illumination predicates.
 
-Arithmetic policy: everything 2D that feeds exact verdicts (polygons,
-piercing arcs) runs on ``fractions.Fraction``; ball, smooth-body and
+Arithmetic policy: polygons and piercing arcs keep exact
+``fractions.Fraction`` coordinates, and every 2D orientation test that
+feeds an exact verdict runs on their primitive integer rays
+(``_primitive_ray``), computed once per vector; ball, smooth-body and
 cap-body verdicts are exact for the rational values of the float unit
 directions (and apexes), on integer multiples of them, with a float filter
 in front of the cap-body integer tests.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +50,31 @@ def as_fraction(x) -> Fraction:
 
 def frac_vec(coords) -> tuple[Fraction, ...]:
     return tuple(as_fraction(c) for c in coords)
+
+
+def _primitive_ray(coords) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero rational vector
+    (floats read as their exact binary values), in any dimension.
+
+    Positive scaling changes no orientation or sign test, so exact tests
+    can run on these ints instead of on ``Fraction``s, and two vectors name
+    the same ray iff their primitive rays are equal.
+    """
+    fracs = [as_fraction(c) for c in coords]
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    g = math.gcd(*ints)
+    if not g:
+        raise DomainError("zero vector has no ray")
+    return tuple(i // g for i in ints)
+
+
+def _ray_unit(ray) -> np.ndarray:
+    """Float unit vector on an integer ray; dividing by the largest entry
+    first keeps rays of any size inside float range."""
+    scale = max(abs(c) for c in ray)
+    v = np.asarray([c / scale for c in ray])
+    return v / np.linalg.norm(v)
 
 
 def cross2(a, b):
@@ -141,29 +168,17 @@ class Direction:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_exact(self) -> bool:
-        return is_exact_coords(self.coords)
-
     def unit(self) -> np.ndarray:
         v = np.asarray([float(c) for c in self.coords], dtype=np.float64)
         return v / np.linalg.norm(v)
 
-    def _canonical(self) -> tuple[int, ...]:
-        fracs = [as_fraction(c) for c in self.coords]
-        from math import gcd, lcm
-        den = lcm(*(f.denominator for f in fracs))
-        ints = [int(f * den) for f in fracs]
-        g = gcd(*(abs(i) for i in ints))
-        return tuple(i // g for i in ints)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Direction):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return _primitive_ray(self.coords) == _primitive_ray(other.coords)
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        return hash(_primitive_ray(self.coords))
 
     def __repr__(self) -> str:
         return f"Direction({list(self.coords)!r})"
@@ -237,7 +252,11 @@ class Tolerance:
 
 
 class ConvexPolygon:
-    """Strictly convex polygon, CCW vertex order, exact rational coordinates."""
+    """Strictly convex polygon, CCW vertex order, exact rational coordinates.
+
+    ``edges[i]`` runs from vertex i to vertex i+1; ``rays[i]`` is its
+    primitive integer ray, on which every orientation test runs.
+    """
 
     def __init__(self, vertices):
         verts = tuple(frac_vec(v) for v in vertices)
@@ -252,20 +271,20 @@ class ConvexPolygon:
             (verts[(i + 1) % n][0] - verts[i][0], verts[(i + 1) % n][1] - verts[i][1])
             for i in range(n)
         )
+        rays = tuple(_primitive_ray(e) for e in edges)
         for i in range(n):
-            if cross2(edges[i], edges[(i + 1) % n]) <= 0:
+            if cross2(rays[i - 1], rays[i]) <= 0:
                 raise DomainError(
                     "polygon must be strictly convex with CCW vertex order"
                 )
         # all turns positive still admits multiple windings; a simple convex
         # cycle descends through angle zero exactly once
-        descents = sum(
-            1 for i in range(n) if angle_cmp(edges[i], edges[(i + 1) % n]) > 0
-        )
+        descents = sum(1 for i in range(n) if angle_cmp(rays[i - 1], rays[i]) > 0)
         if descents != 1:
             raise DomainError("vertex cycle winds more than once")
         self.vertices = verts
         self.edges = edges
+        self.rays = rays
 
     @property
     def n(self) -> int:
@@ -278,6 +297,12 @@ class ConvexPolygon:
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray([[float(x), float(y)] for x, y in self.vertices])
+
+    def lights_vertex(self, i: int, u) -> bool:
+        """Does direction u (any positive multiple) enter the interior at
+        vertex i?  Iff u lies in the open arc (rays[i], -rays[i-1]), i.e.
+        both edges at the vertex turn strictly left to u."""
+        return cross2(self.rays[i - 1], u) > 0 and cross2(self.rays[i], u) > 0
 
     def locate_boundary_point(self, p) -> tuple[str, int]:
         """Exact location of p on the boundary: ("vertex", i) or ("edge", i).
@@ -308,21 +333,17 @@ class SupportFunctionBody:
     """Smooth 2D convex body given by its support function h(theta).
 
     ``support`` maps an outward normal angle to the support value and must
-    accept numpy arrays.  ``support_prime`` is the derivative; when omitted
-    it is estimated by central differences.
+    accept numpy arrays.  ``support_prime`` is its derivative.
     """
 
     support: Callable
-    support_prime: Optional[Callable] = None
+    support_prime: Callable
 
     def _h(self, thetas: np.ndarray) -> np.ndarray:
         return np.asarray(self.support(thetas), dtype=np.float64)
 
     def _hp(self, thetas: np.ndarray) -> np.ndarray:
-        if self.support_prime is not None:
-            return np.asarray(self.support_prime(thetas), dtype=np.float64)
-        step = 1e-6
-        return (self._h(thetas + step) - self._h(thetas - step)) / (2 * step)
+        return np.asarray(self.support_prime(thetas), dtype=np.float64)
 
     def boundary_points(self, thetas: np.ndarray) -> np.ndarray:
         h = self._h(thetas)
@@ -383,8 +404,8 @@ def illuminates_by_direction(body, p, u, tol: Tolerance = Tolerance()) -> bool:
     """Does moving from boundary point p along u enter the interior of body?
 
     Ball: strict <u, p> < 0 (exact for rational inputs, margin ``tol.margin``
-    in float mode).  Polygon: exact sign tests against the outward normals
-    adjacent to p.
+    in float mode).  Polygon: exact orientation tests against the edge rays
+    at p (``ConvexPolygon.lights_vertex`` at a vertex).
     """
     if isinstance(u, Direction):
         u = u.coords
@@ -403,11 +424,8 @@ def illuminates_by_direction(body, p, u, tol: Tolerance = Tolerance()) -> bool:
         kind, i = body.locate_boundary_point(p)
         uf = frac_vec(u)
         if kind == "edge":
-            return dot(uf, body.outward_normal(i)) < 0
-        return (
-            dot(uf, body.outward_normal(i - 1)) < 0
-            and dot(uf, body.outward_normal(i)) < 0
-        )
+            return cross2(body.rays[i], uf) > 0
+        return body.lights_vertex(i, uf)
     raise UnsupportedBody(f"unsupported body kind {type(body).__name__}")
 
 
@@ -584,34 +602,28 @@ def _report(
 def _verify_polygon_exact(
     poly: ConvexPolygon, multiset: DirectionMultiset, m: int
 ) -> IlluminationReport:
-    """Exact verdict: a vertex is illuminated by u iff both adjacent outward
-    normals have strictly negative dot with u.  Vertex coverage implies edge
-    coverage, so vertices decide the verdict."""
-    n = poly.n
-    counts = []
-    margins_per_vertex = []
-    for i in range(n):
-        n_prev = poly.outward_normal(i - 1)
-        n_cur = poly.outward_normal(i)
-        np_f = np.asarray([float(n_prev[0]), float(n_prev[1])])
-        nc_f = np.asarray([float(n_cur[0]), float(n_cur[1])])
-        np_f /= np.linalg.norm(np_f)
-        nc_f /= np.linalg.norm(nc_f)
-        count = 0
-        vertex_margins = []
-        for d, mult in multiset.entries:
-            uf = frac_vec(d.coords)
-            if dot(uf, n_prev) < 0 and dot(uf, n_cur) < 0:
-                count += mult
-            u = d.unit()
-            vertex_margins.append(min(-float(u @ np_f), -float(u @ nc_f)))
-        counts.append(count)
-        margins_per_vertex.append(np.asarray(vertex_margins))
-    counts = np.asarray(counts, dtype=np.int64)
-    pts = poly.vertex_array()
-    wi = _worst_index(pts, counts)
-    _, mults = multiset.as_arrays()
-    return _report(m, poly.vertices[wi], counts[wi], margins_per_vertex[wi], mults, n)
+    """Exact verdict on the vertices, by ``ConvexPolygon.lights_vertex`` on
+    the primitive rays of the directions; vertex coverage implies edge
+    coverage, so vertices decide the verdict.  The worst vertex is the
+    lexicographically least of the least lit, compared exactly; the float
+    margins, against its two unit outward normals, are taken there only."""
+    rays = [_primitive_ray(d.coords) for d, _ in multiset.entries]
+    mults = [mult for _, mult in multiset.entries]
+    counts = [
+        sum(mult for u, mult in zip(rays, mults) if poly.lights_vertex(i, u))
+        for i in range(poly.n)
+    ]
+    least = min(counts)
+    wi = min(
+        (i for i, c in enumerate(counts) if c == least),
+        key=poly.vertices.__getitem__,
+    )
+    units = np.stack([_ray_unit(u) for u in rays])
+    normals = np.stack(
+        [_ray_unit((r[1], -r[0])) for r in (poly.rays[wi - 1], poly.rays[wi])]
+    )
+    margins = (-(units @ normals.T)).min(axis=1)
+    return _report(m, poly.vertices[wi], least, margins, mults, poly.n)
 
 
 def _det(rows) -> int:
@@ -658,7 +670,7 @@ def _exact_sphere_minimum(
     merged = {}
     for row, mult in zip(units.tolist(), mults.tolist()):
         # the primitive integer row h ~ (u, tau): <u, x> < -tau iff <h, X> < 0
-        key = Direction((*row, tau))._canonical()
+        key = _primitive_ray((*row, tau))
         merged[key] = merged.get(key, 0) + mult
     at_infinity = (0,) * d + (1,)
     points = []
@@ -930,10 +942,10 @@ def _cap_body_planes(
     directions, caps = {}, {}
     for row, mult in zip(units.tolist(), mults.tolist()):
         frow = (*row, *pad, tau)
-        directions.setdefault(Direction(frow)._canonical(), [frow, 0])[1] += mult
+        directions.setdefault(_primitive_ray(frow), [frow, 0])[1] += mult
     for v in apexes.tolist():
         frow = (*v, *pad, -1.0)
-        caps.setdefault(Direction(frow)._canonical(), [frow, 0])
+        caps.setdefault(_primitive_ray(frow), [frow, 0])
     merged = list(directions.items()) + list(caps.items())
     arrangement = _Arrangement([f for _, (f, _) in merged], [key for key, _ in merged])
     return arrangement, np.asarray([w for _, (_, w) in merged], dtype=np.int64)

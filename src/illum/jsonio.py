@@ -150,14 +150,10 @@ def solution_to_json(solution) -> dict:
     }
 
 
-def format_angle(value: float, pi_fraction: Fraction | None = None) -> str:
-    """Angles print as exact rational multiples of pi where representable
-    (caller-supplied or detected to full float precision), otherwise as
-    17-significant-digit decimals."""
-    if pi_fraction is None:
-        candidate = Fraction(value / math.pi).limit_denominator(1000)
-        if candidate != 0 and abs(float(candidate) * math.pi - value) < 4e-16:
-            pi_fraction = candidate
-    if pi_fraction is not None:
-        return f"{pi_fraction}*pi"
+def format_angle(value: float) -> str:
+    """Angles print as exact rational multiples of pi where detected to full
+    float precision, otherwise as 17-significant-digit decimals."""
+    candidate = Fraction(value / math.pi).limit_denominator(1000)
+    if candidate != 0 and abs(float(candidate) * math.pi - value) < 4e-16:
+        return f"{candidate}*pi"
     return f"{value:.17g}"

@@ -5,7 +5,8 @@ start" slots: sliding any piercing point clockwise to the nearest start
 keeps every arc it was in, so an optimal canonical solution always
 exists.  Membership of the slot past start s in the open arc (a, b) is
 the exact half-open test s in [a, b), decided by orientation signs only,
-so the solver runs it on integer multiples of the endpoints.
+so every test runs on the primitive integer rays of the endpoints, which
+each ``Arc`` computes once (``Arc.rays``).
 
 A total T is infeasible exactly when some chain of k arcs with pairwise
 disjoint slot intervals wraps the circle w times with k*m > w*T (a
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -34,9 +35,8 @@ from .errors import DomainError, GeometryInternalError
 from .geometry import (
     Direction,
     DirectionMultiset,
+    _primitive_ray,
     angle_sort_key,
-    cross2,
-    dot,
     frac_vec,
     in_halfopen_arc,
     in_open_arc,
@@ -45,27 +45,32 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class Arc:
-    """Open CCW arc on the circle of directions, exact rational endpoints."""
+    """Open CCW arc on the circle of directions, exact rational endpoints;
+    ``rays`` holds the primitive integer rays of (start, end), on which
+    every membership test runs."""
 
     start: tuple[Fraction, Fraction]
     end: tuple[Fraction, Fraction]
+    rays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         start, end = frac_vec(self.start), frac_vec(self.end)
-        if start == (0, 0) or end == (0, 0):
-            raise DomainError("arc endpoints must be nonzero vectors")
-        if cross2(start, end) == 0 and dot(start, end) > 0:
+        rays = (_primitive_ray(start), _primitive_ray(end))
+        if rays[0] == rays[1]:
             raise DomainError("arc endpoints coincide (length 0 or full circle)")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
+        object.__setattr__(self, "rays", rays)
 
     def contains_slot(self, s) -> bool:
-        """Does this open arc contain the slot just CCW past direction s?"""
-        return in_halfopen_arc(self.start, self.end, s)
+        """Does this open arc contain the slot just CCW past direction s (any
+        positive multiple)?"""
+        return in_halfopen_arc(*self.rays, s)
 
     def contains_direction(self, u) -> bool:
-        """Strict interior membership of a concrete direction."""
-        return in_open_arc(self.start, self.end, u)
+        """Strict interior membership of a concrete direction (any positive
+        multiple)."""
+        return in_open_arc(*self.rays, u)
 
     def length(self) -> float:
         """Arc length in radians (float, for reporting only)."""
@@ -77,16 +82,13 @@ class Arc:
 
 @dataclass
 class ArcSystem:
-    """Arcs to pierce, each at least ``demand`` times."""
+    """Arcs to pierce."""
 
     arcs: list[Arc]
-    demand: int = 1
 
     def __post_init__(self):
         if not self.arcs:
             raise DomainError("arc system must be nonempty")
-        if self.demand < 1:
-            raise DomainError("demand must be >= 1")
 
     @property
     def n(self) -> int:
@@ -116,50 +118,36 @@ class PiercingSolution:
 
 
 def _slot_order(system: ArcSystem) -> list[int]:
-    starts = [system.arcs[i].start for i in range(system.n)]
-    return sorted(range(system.n), key=lambda i: angle_sort_key(starts[i]))
+    keys = [angle_sort_key(arc.rays[0]) for arc in system.arcs]
+    return sorted(range(system.n), key=keys.__getitem__)
 
 
 def _membership(system: ArcSystem, order: list[int]) -> list[list[bool]]:
     """member[i][k]: arc i contains the slot at sorted position k."""
     return [
-        [arc.contains_slot(system.arcs[order[k]].start) for k in range(system.n)]
+        [arc.contains_slot(system.arcs[order[k]].rays[0]) for k in range(system.n)]
         for arc in system.arcs
     ]
 
 
-def _int_vec(v) -> tuple[int, int]:
-    """Primitive integer vector on the ray of the rational vector v.
-
-    Orientation signs are unchanged when a vector is scaled by a positive
-    factor, so exact arc tests can run on these small ints.
-    """
-    x, y = v
-    den = math.lcm(x.denominator, y.denominator)
-    ix = x.numerator * (den // x.denominator)
-    iy = y.numerator * (den // y.denominator)
-    g = math.gcd(ix, iy)
-    return ix // g, iy // g
-
-
-def _slot_intervals(ends) -> tuple[list[int], list[tuple[int, int]]]:
+def _slot_intervals(arcs) -> tuple[list[int], list[tuple[int, int]]]:
     """Slot order and the cyclic slot interval [l, r] of every arc (l may
-    exceed r), from integer (start, end) pairs.
+    exceed r).
 
     Arc i holds the slots whose start lies in [start_i, end_i): the run
     from the first start equal to start_i up to the last start before
     end_i, found by binary search over the sorted starts.
     """
-    n = len(ends)
-    keys = [angle_sort_key(start) for start, _ in ends]
+    n = len(arcs)
+    keys = [angle_sort_key(arc.rays[0]) for arc in arcs]
     order = sorted(range(n), key=keys.__getitem__)
     sorted_keys = [keys[i] for i in order]
     intervals = []
-    for i, (_, end) in enumerate(ends):
+    for i, arc in enumerate(arcs):
         l = bisect_left(sorted_keys, keys[i])
         # cyclic distance from l to the first start at or past the end; 0
         # means no start lies in [end, start), so the arc holds every slot
-        count = (bisect_left(sorted_keys, angle_sort_key(end)) - l) % n or n
+        count = (bisect_left(sorted_keys, angle_sort_key(arc.rays[1])) - l) % n or n
         intervals.append((0, n - 1) if count == n else (l, (l + count - 1) % n))
     return order, intervals
 
@@ -222,41 +210,40 @@ def _feasible(intervals, n, m, total) -> list[int]:
     return x
 
 
-def _concretize_slot(system: ArcSystem, ends, arc_idx: int, covering: list[int]):
+def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
     """Exact rational direction strictly inside every arc covering the slot.
 
     Rotates the start vector CCW by the rational rotation of parameter
     t = 1/q (angle 2*atan(t) < 2/q), doubling q from 4 until every strict
-    membership holds.  The tests run on q^2 times the rotated integer start;
+    membership holds.  The tests run on q^2 times the rotated start ray;
     only the accepted direction is built from the exact start.
 
-    With every integer endpoint coordinate below 2^b in absolute value, two
+    With every integer ray coordinate below 2^b in absolute value, two
     distinct rays are at least 2^(-2b-1) apart (|cross| >= 1 over a product
     of norms below 2^(2b+1)), so the rotation succeeds once q >= 2^(2b+2),
     which 2b doublings reach; the loop allows 2b + 2.
     """
-    sx, sy = ends[arc_idx][0]
-    b = max(abs(c).bit_length() for i in covering for v in ends[i] for c in v)
+    arcs = system.arcs
+    sx, sy = arcs[arc_idx].rays[0]
+    b = max(abs(c).bit_length() for i in covering for v in arcs[i].rays for c in v)
     q = 4
     for _ in range(2 * b + 3):
         c = q * q - 1
         w = (c * sx - 2 * q * sy, 2 * q * sx + c * sy)
-        if all(in_open_arc(*ends[i], w) for i in covering):
-            x, y = system.arcs[arc_idx].start
+        if all(arcs[i].contains_direction(w) for i in covering):
+            x, y = arcs[arc_idx].start
             t = Fraction(1, q)
             return ((1 - t * t) * x - 2 * t * y, 2 * t * x + (1 - t * t) * y)
         q *= 2
     raise GeometryInternalError("failed to concretize a piercing slot")
 
 
-def min_mfold_pierce(system: ArcSystem, m: int | None = None) -> PiercingSolution:
+def min_mfold_pierce(system: ArcSystem, m: int) -> PiercingSolution:
     """Provably optimal multiset piercing every arc at least m times."""
-    m = system.demand if m is None else m
     if m < 1:
         raise DomainError("demand must be >= 1")
     n = system.n
-    ends = [(_int_vec(arc.start), _int_vec(arc.end)) for arc in system.arcs]
-    order, intervals = _slot_intervals(ends)
+    order, intervals = _slot_intervals(system.arcs)
     chain, wraps = _greedy_chain(intervals, n)
     total = -(-len(chain) * m // wraps)
     slots, dirs = [], []
@@ -270,7 +257,7 @@ def min_mfold_pierce(system: ArcSystem, m: int | None = None) -> PiercingSolutio
             if (l <= k <= r if l <= r else not r < k < l)
         ]
         slots.append((arc_idx, mult))
-        dirs.append(_concretize_slot(system, ends, arc_idx, covering))
+        dirs.append(_concretize_slot(system, arc_idx, covering))
     return PiercingSolution(
         size=total, m=m, slots=slots, directions=dirs,
         certificate={
@@ -287,11 +274,9 @@ def certificate_lower_bound(system: ArcSystem, certificate: dict, m: int) -> int
     slots just past every endpoint is exhaustive); each chain arc needs m
     points, hence any solution has at least ceil(k*m/cover) points.
     """
-    chain = certificate["chain"]
-    probes = [a.start for a in system.arcs] + [a.end for a in system.arcs]
-    cover = max(
-        sum(1 for i in chain if system.arcs[i].contains_slot(p)) for p in probes
-    )
+    chain = [system.arcs[i] for i in certificate["chain"]]
+    probes = [ray for arc in system.arcs for ray in arc.rays]
+    cover = max(sum(1 for arc in chain if arc.contains_slot(p)) for p in probes)
     if cover == 0:
         raise GeometryInternalError("certificate chain covers nothing")
     return math.ceil(len(chain) * m / cover)
@@ -299,11 +284,12 @@ def certificate_lower_bound(system: ArcSystem, certificate: dict, m: int) -> int
 
 def verify_piercing(system: ArcSystem, solution: PiercingSolution, m: int) -> bool:
     """Exact feasibility re-check of the concrete directions."""
+    rays = [_primitive_ray(d) for d in solution.directions]
     for arc in system.arcs:
         covered = sum(
             mult
-            for d, (_, mult) in zip(solution.directions, solution.slots)
-            if arc.contains_direction(d)
+            for u, (_, mult) in zip(rays, solution.slots)
+            if arc.contains_direction(u)
         )
         if covered < m:
             return False

@@ -68,21 +68,14 @@ def illumination_number_polygon(polygon: ConvexPolygon, m: int) -> int:
 
 def check_consecutive_angle_condition(polygon: ConvexPolygon, m: int) -> bool:
     """For a (2m+1)-gon, m >= 2: is every sum of m consecutive exterior
-    angles strictly below pi?
-
-    The window from vertex k spans the turn from edge k-1 to edge k+m-1,
-    which stays below pi exactly when those edges still make a CCW turn:
-    a single cross-product sign, no floating angles.
-    """
+    angles strictly below pi?  The grouped condition with singleton groups,
+    cuts 1..2m."""
     if m < 2:
         raise DomainError("consecutive angle condition is defined for m >= 2")
     n = polygon.n
     if n != 2 * m + 1:
         raise DomainError(f"polygon must have {2 * m + 1} vertices, has {n}")
-    return all(
-        cross2(polygon.edges[(k - 1) % n], polygon.edges[(k + m - 1) % n]) > 0
-        for k in range(n)
-    )
+    return check_grouped_angle_condition(polygon, m, range(1, 2 * m + 1))
 
 
 def check_grouped_angle_condition(
@@ -91,7 +84,12 @@ def check_grouped_angle_condition(
     """Grouped variant: exterior angles are grouped by cut indices
     0 = n_0 < n_1 < ... < n_2m < n (``cuts`` lists n_1..n_2m, extended
     periodically by n); every window of m consecutive group sums must stay
-    strictly below pi."""
+    strictly below pi.
+
+    A window spans the turn from one edge to a later one, which stays below
+    pi exactly when the two edge rays still make a CCW turn: a single
+    cross-product sign, no floating angles.
+    """
     if m < 1:
         raise DomainError("m must be >= 1")
     n = polygon.n
@@ -112,11 +110,9 @@ def check_grouped_angle_condition(
 
     # window k spans group sums beta_k..beta_{k+m-1}, i.e. the turn from
     # edge n_{k-1} to edge n_{k+m-1}
+    rays = polygon.rays
     return all(
-        cross2(
-            polygon.edges[cut(k - 1) % n], polygon.edges[cut(k + m - 1) % n]
-        )
-        > 0
+        cross2(rays[cut(k - 1) % n], rays[cut(k + m - 1) % n]) > 0
         for k in range(1, 2 * m + 2)
     )
 
@@ -182,14 +178,12 @@ def tangent_polygon(normal_angles, support_values) -> TangentPolygon:
     return TangentPolygon(vertices=verts, normal_angles=angles, support_values=support)
 
 
-def equiangular_tangent_polygon(
-    body: SupportFunctionBody, m: int, phase: float = 0.0
-) -> TangentPolygon:
+def equiangular_tangent_polygon(body: SupportFunctionBody, m: int) -> TangentPolygon:
     """Circumscribed (2m+1)-gon with outward normals at equal angle steps."""
     if m < 1:
         raise DomainError("m must be >= 1")
     k = 2 * m + 1
-    angles = phase + 2 * np.pi * np.arange(k) / k
+    angles = 2 * np.pi * np.arange(k) / k
     return tangent_polygon(angles, body._h(angles))
 
 
@@ -221,67 +215,39 @@ def smooth_2d_directions(body: SupportFunctionBody, m: int) -> DirectionMultiset
 _PHASE = 0.1234567
 
 
-def regular_polygon_rational(n: int, max_denominator: int = 10 ** 6) -> ConvexPolygon:
+def regular_polygon_rational(n: int) -> ConvexPolygon:
     """Rational polygon with the exact vertex-arc combinatorics of the
     regular n-gon.
 
     Regular vertices are irrational for most n, but the piercing optimum
-    depends only on the cyclic slot pattern of the vertex arcs.  Even n
-    uses an exactly centrally-symmetric polygon (which always reproduces
-    the regular pattern); odd n uses a close rational approximation whose
-    pattern is then re-verified by exact orientation tests.
+    depends only on the cyclic slot pattern of the vertex arcs: arc i holds
+    the slots i..i+h-1, h = floor((n-1)/2), exactly when every edge ray
+    turns strictly left to the ray h edges on and not to the one h+1 on.
+    The vertices at angles 2*pi*i/n + _PHASE are rounded to the common
+    denominator D, the least power of ten above 10^4 n^2, which moves every
+    edge direction by far less than pi/n; for even n the second half is the
+    negated first, so the polygon is exactly centrally symmetric.  The
+    pattern is then checked exactly.
     """
     if n < 3:
         raise DomainError("polygon needs n >= 3")
+    den = 10 ** len(str(10 ** 4 * n * n))
+    verts = []
+    for i in range(n // 2 if n % 2 == 0 else n):
+        ang = 2 * math.pi * i / n + _PHASE
+        verts.append(
+            (Fraction(round(den * math.cos(ang)), den),
+             Fraction(round(den * math.sin(ang)), den))
+        )
     if n % 2 == 0:
-        half = []
-        edge_len = 2 * math.sin(math.pi / n)
-        for i in range(n // 2):
-            ang = 2 * math.pi * i / n + _PHASE
-            half.append(
-                (
-                    Fraction(edge_len * math.cos(ang)).limit_denominator(max_denominator),
-                    Fraction(edge_len * math.sin(ang)).limit_denominator(max_denominator),
-                )
-            )
-        edges = half + [(-x, -y) for x, y in half]
-        verts = []
-        cx = cy = Fraction(0)
-        for ex, ey in edges[:-1]:
-            verts.append((cx, cy))
-            cx, cy = cx + ex, cy + ey
-        verts.append((cx, cy))
-        return ConvexPolygon(verts)
-
-    denom = max_denominator
-    for _ in range(4):
-        verts = []
-        for i in range(n):
-            ang = 2 * math.pi * i / n + _PHASE
-            verts.append(
-                (
-                    Fraction(math.cos(ang)).limit_denominator(denom),
-                    Fraction(math.sin(ang)).limit_denominator(denom),
-                )
-            )
-        try:
-            poly = ConvexPolygon(verts)
-        except DomainError:
-            denom *= 100
-            continue
-        h = (n - 1) // 2
-        ok = True
-        for i in range(n):
-            neg = (-poly.edges[i][0], -poly.edges[i][1])
-            if not (
-                cross2(poly.edges[(i + h) % n], neg) > 0
-                and cross2(neg, poly.edges[(i + h + 1) % n]) > 0
-            ):
-                ok = False
-                break
-        if ok:
-            return poly
-        denom *= 100
-    raise GeometryInternalError(
-        f"could not reproduce the regular {n}-gon arc pattern rationally"
-    )
+        verts += [(-x, -y) for x, y in verts]
+    poly = ConvexPolygon(verts)
+    h, rays = (n - 1) // 2, poly.rays
+    if not all(
+        cross2(rays[i], rays[(i + h) % n]) > 0 >= cross2(rays[i], rays[(i + h + 1) % n])
+        for i in range(n)
+    ):
+        raise GeometryInternalError(
+            f"could not reproduce the regular {n}-gon arc pattern rationally"
+        )
+    return poly

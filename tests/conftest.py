@@ -1,4 +1,6 @@
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -34,6 +36,28 @@ def random_convex_polygon(rng, n: int, coord_range: int = 12) -> ConvexPolygon:
         except DomainError:
             continue
     raise RuntimeError(f"failed to sample a convex {n}-gon")
+
+
+def limit_denominator_polygon(n: int) -> ConvexPolygon:
+    """Centrally symmetric n-gon, n even, with the vertex-arc pattern of the
+    regular n-gon: edges 2 sin(pi/n) (cos, sin)(2 pi i/n + 0.1234567) for
+    i < n/2, each coordinate rounded by ``limit_denominator(10**6)``, then
+    the same edges negated.  The vertices are their partial sums, so the
+    denominators grow with n (422 digits at n = 200).  This is the input of
+    the pinned 200-gon solve."""
+    edge_len = 2 * math.sin(math.pi / n)
+    half = []
+    for i in range(n // 2):
+        ang = 2 * math.pi * i / n + 0.1234567
+        half.append((
+            Fraction(edge_len * math.cos(ang)).limit_denominator(10 ** 6),
+            Fraction(edge_len * math.sin(ang)).limit_denominator(10 ** 6),
+        ))
+    verts, x, y = [], Fraction(0), Fraction(0)
+    for ex, ey in half + [(-ex, -ey) for ex, ey in half]:
+        verts.append((x, y))
+        x, y = x + ex, y + ey
+    return ConvexPolygon(verts)
 
 
 def random_direction_2d(rng, coord_range: int = 40):

@@ -10,6 +10,8 @@ from illum.geometry import ConvexPolygon, unit_circle_body
 from illum.jsonio import dump_json, multiset_to_json, polygon_to_json
 from illum.polygons import smooth_2d_directions
 
+from conftest import limit_denominator_polygon
+
 
 @pytest.fixture
 def square_file(tmp_path):
@@ -414,12 +416,11 @@ class TestGoldenStdout:
 
     def test_polygon_solve(self, tmp_path, capsys, monkeypatch):
         from illum.cli import main
-        from illum.polygons import regular_polygon_rational
 
         data = Path(__file__).parent / "data"
         monkeypatch.setenv("ILLUM_LOG", "quiet")
         regular = tmp_path / "regular200.json"
-        regular.write_text(dump_json(polygon_to_json(regular_polygon_rational(200))))
+        regular.write_text(dump_json(polygon_to_json(limit_denominator_polygon(200))))
         cases = [
             (regular, "3", "polygon_solve_reg200_m3.stdout"),
             (data / "polygon_lattice24.json", "5", "polygon_solve_lattice24_m5.stdout"),

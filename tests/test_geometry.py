@@ -206,6 +206,81 @@ class TestVerifyPolygon:
         assert report.samples == 4
         assert report.worst_count == 0
 
+    def test_huge_lattice_triangle(self):
+        # coordinates far beyond float range: counts stay exact and the
+        # margins finite
+        poly = ConvexPolygon([(0, 0), (10**400, 0), (0, 1)])
+        multiset = polygon_piercing_solution(poly, 1).as_direction_multiset()
+        report = verify_mfold(poly, multiset, 1)
+        assert report.passed and report.worst_count == 1
+        assert math.isfinite(report.worst_margin) and report.worst_margin > 0
+
+    def test_counts_match_a_step_into_the_interior(self):
+        # random rational multisets, half of the directions parallel to an
+        # edge (an endpoint of two vertex arcs); the oracle steps from each
+        # vertex along u and asks whether the point is interior
+        from illum.geometry import _point_in_polygon_interior
+
+        rng = np.random.default_rng(1313)
+        step = Fraction(1, 10**12)
+
+        def ratio():
+            return Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+
+        for _ in range(80):
+            poly = random_convex_polygon(rng, int(rng.integers(3, 10)))
+            vectors, parallel = [], []
+            for _ in range(int(rng.integers(1, 8))):
+                if rng.integers(0, 2):
+                    i = int(rng.integers(0, poly.n))
+                    c = ratio() * (1 if rng.integers(0, 2) else -1)
+                    vectors.append((c * poly.edges[i][0], c * poly.edges[i][1]))
+                    parallel.append((i, vectors[-1]))
+                else:
+                    u = random_direction_2d(rng)
+                    vectors.append((u[0] * ratio(), u[1] * ratio()))
+            mults = [int(c) for c in rng.integers(1, 4, len(vectors))]
+            multiset = DirectionMultiset.from_vectors(vectors, mults)
+            counts = []
+            for v in poly.vertices:
+                lit = [
+                    illuminates_by_direction(poly, v, d.coords)
+                    for d, _ in multiset.entries
+                ]
+                stepped = [
+                    _point_in_polygon_interior(
+                        poly, (v[0] + step * d.coords[0], v[1] + step * d.coords[1])
+                    )
+                    for d, _ in multiset.entries
+                ]
+                assert lit == stepped
+                counts.append(
+                    sum(m for hit, (_, m) in zip(lit, multiset.entries) if hit)
+                )
+            worst = min(v for v, c in zip(poly.vertices, counts) if c == min(counts))
+            # float margins at the worst vertex, against both unit outward
+            # normals there, the m-th largest with multiplicity
+            wi = poly.vertices.index(worst)
+            normals = [
+                np.asarray([float(c) for c in poly.outward_normal(j)])
+                for j in (wi - 1, wi)
+            ]
+            margins = sorted(
+                min(-float(d.unit() @ (nrm / np.linalg.norm(nrm))) for nrm in normals)
+                for d, mult in multiset.entries
+                for _ in range(mult)
+            )
+            for m in (1, 2, 3):
+                report = verify_mfold(poly, multiset, m)
+                assert report.worst_count == min(counts)
+                assert report.passed == (min(counts) >= m)
+                assert report.worst_point == worst
+                want = margins[-min(m, len(margins))]
+                assert report.worst_margin == pytest.approx(want, abs=1e-12)
+            for i, u in parallel:
+                for v in (poly.vertices[i], poly.vertices[(i + 1) % poly.n]):
+                    assert not illuminates_by_direction(poly, v, u)
+
 
 class TestEdgeDomination:
     def test_vertex_coverage_implies_edge_coverage(self):

@@ -1,10 +1,12 @@
 """The benchmark in ``perfbench/`` reaches into illum by module, function and
-method name.  These checks import its ``run.py`` and ``layers.py`` unchanged,
-so a change to ``src/`` that removes a name they use fails here rather than
-in a benchmark run."""
+method name.  These checks import its ``run.py``, ``layers.py`` and
+``workloads.py`` unchanged, so a change to ``src/`` that removes a name they
+use, or that fails a workload's gate, fails here rather than in a benchmark
+run."""
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -49,3 +51,17 @@ def test_trace_installs_and_removes_cleanly(bench):
     for _, owner, attr, fn in entries:
         current = vars(owner)[attr] if inspect.isclass(owner) else getattr(owner, attr)
         assert current is fn
+
+
+@pytest.mark.parametrize("workload", ["ball-lift", "polygon-exact", "capbody-ledger"])
+def test_one_pass_meets_every_gate(bench, workload, tmp_path):
+    # one seeded pass through the CLI dispatcher, gated as the benchmark
+    # gates its first pass
+    from illum import cli, jsonio
+
+    assert workload in bench.workloads.WORKLOADS
+    for op in bench.workloads.build(workload, 5, tmp_path):
+        result = cli.run(op.argv)
+        assert result.status == "ok", (op.argv, result.payload)
+        doc = json.loads(jsonio.dump_json(result.payload))
+        assert op.gate(doc) == [], op.argv

@@ -6,12 +6,11 @@ import pytest
 
 from illum import piercing
 from illum.errors import DomainError, GeometryInternalError
-from illum.geometry import cross2, dot, verify_mfold
+from illum.geometry import _primitive_ray, cross2, dot, verify_mfold
 from illum.piercing import (
     Arc,
     ArcSystem,
     _concretize_slot,
-    _int_vec,
     _membership,
     _slot_intervals,
     _slot_order,
@@ -28,7 +27,7 @@ from illum.polygons import (
     vertex_arcs,
 )
 
-from conftest import random_convex_polygon
+from conftest import limit_denominator_polygon, random_convex_polygon
 from test_arc_systems import random_arc_system
 
 
@@ -165,7 +164,7 @@ class TestGreedyChain:
 
     def test_total_below_the_bound_is_an_internal_error(self):
         system = vertex_arcs(regular_polygon_rational(7))
-        _, intervals = _slot_intervals(int_ends(system))
+        _, intervals = _slot_intervals(system.arcs)
         assert sum(piercing._feasible(intervals, 7, 3, 7)) == 7
         with pytest.raises(GeometryInternalError):
             piercing._feasible(intervals, 7, 3, 6)
@@ -219,10 +218,6 @@ def reference_concretize(system, arc_idx, covering):
             return w
         t /= 2
     raise GeometryInternalError("failed to concretize a piercing slot")
-
-
-def int_ends(system):
-    return [(_int_vec(arc.start), _int_vec(arc.end)) for arc in system.arcs]
 
 
 def random_rational_direction(rng):
@@ -300,7 +295,7 @@ def edge_case_systems():
         ArcSystem(arcs=[Arc(start=(1, 0), end=(0, 1))]),
         ArcSystem(arcs=[Arc(start=(0, 1), end=(1, 0)), Arc(start=(0, 7), end=(-1, 0))]),
         # large-denominator endpoints
-        vertex_arcs(regular_polygon_rational(200)),
+        vertex_arcs(limit_denominator_polygon(200)),
         vertex_arcs(regular_polygon_rational(201)),
     ]
     return systems
@@ -316,24 +311,47 @@ def edge_cases():
     return cases
 
 
-class TestIntVec:
+class TestPrimitiveRay:
     def test_positive_primitive_multiple(self):
         rng = np.random.default_rng(5)
         vectors = [random_rational_direction(rng) for _ in range(300)]
         vectors += [(Fraction(-4), Fraction(0)), (Fraction(0), Fraction(-3, 7))]
         for v in vectors:
-            iv = _int_vec(v)
+            iv = _primitive_ray(v)
             assert all(type(c) is int for c in iv)
             assert cross2(v, iv) == 0 and dot(v, iv) > 0
             assert math.gcd(*iv) == 1
+
+    def test_float_rows_in_three_dimensions(self):
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(200, 3))
+        rows[::7, 1] = 0.0
+        for row in rows.tolist():
+            ray = _primitive_ray(row)
+            assert _primitive_ray(tuple(np.asarray(row))) == ray  # numpy scalars
+            assert all(type(c) is int for c in ray) and math.gcd(*ray) == 1
+            exact = [Fraction(c) for c in row]
+            # a positive multiple: all 2x2 minors vanish, positive dot
+            assert all(
+                exact[i] * ray[j] == exact[j] * ray[i]
+                for i in range(3) for j in range(i + 1, 3)
+            )
+            assert dot(exact, ray) > 0
+        scaled = (rows[0] * 0.5).tolist()
+        assert _primitive_ray(scaled) == _primitive_ray(rows[0].tolist())
+
+    def test_zero_vector_is_rejected(self):
+        for zero in [(0, 0), (Fraction(0), 0.0, 0), [0.0, -0.0, 0.0, 0.0]]:
+            with pytest.raises(DomainError):
+                _primitive_ray(zero)
 
 
 class TestSlotIntervals:
     def test_systems_cover_the_edge_cases(self, edge_cases):
         has_dup_start = has_end_on_start = has_long = has_full = has_wrap = False
         for system, _, member in edge_cases:
-            starts = [_int_vec(a.start) for a in system.arcs]
-            ends = [_int_vec(a.end) for a in system.arcs]
+            starts = [a.rays[0] for a in system.arcs]
+            ends = [a.rays[1] for a in system.arcs]
             has_dup_start |= len(set(starts)) < len(starts)
             has_end_on_start |= bool(set(starts) & set(ends))
             has_long |= any(a.length() > math.pi for a in system.arcs)
@@ -344,12 +362,12 @@ class TestSlotIntervals:
 
     def test_matches_membership_table(self, edge_cases):
         for system, order, member in edge_cases:
-            assert _slot_intervals(int_ends(system)) == (
+            assert _slot_intervals(system.arcs) == (
                 order, reference_intervals(member)
             )
 
     def test_full_circle_intervals(self):
-        assert _slot_intervals(int_ends(FULL_CIRCLE))[1] == [(0, 2)] * 3
+        assert _slot_intervals(FULL_CIRCLE.arcs)[1] == [(0, 2)] * 3
 
 
 class TestConcretizeSlot:
@@ -357,10 +375,9 @@ class TestConcretizeSlot:
         for system, order, member in edge_cases:
             if system.n > 60:
                 continue
-            ends = int_ends(system)
             for k, arc_idx in enumerate(order):
                 covering = [i for i in range(system.n) if member[i][k]]
-                got = _concretize_slot(system, ends, arc_idx, covering)
+                got = _concretize_slot(system, arc_idx, covering)
                 assert got == reference_concretize(system, arc_idx, covering)
                 assert all(type(c) is Fraction for c in got)
 

@@ -1,10 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from illum.errors import DomainError
+from illum.errors import DomainError, GeometryInternalError
 from illum.geometry import (
     ConvexPolygon,
     ellipse_body,
@@ -202,6 +203,30 @@ class TestRationalRegularSurrogates:
         verts = poly.vertex_array()
         lengths = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
         assert np.allclose(lengths, 2 * math.sin(math.pi / n), atol=1e-4)
+
+    @pytest.mark.parametrize("n", [3200, 10**4])
+    def test_large_n_has_bounded_denominators(self, n):
+        # the least power of ten above 10^4 n^2 bounds every denominator, so
+        # the polygon serializes and parses back unchanged
+        from illum.jsonio import dump_json, polygon_from_json, polygon_to_json
+
+        poly = regular_polygon_rational(n)
+        bound = 10 ** len(str(10**4 * n * n))
+        assert all(c.denominator <= bound for v in poly.vertices for c in v)
+        doc = json.loads(dump_json(polygon_to_json(poly)))
+        assert polygon_from_json(doc).vertices == poly.vertices
+
+    def test_rounded_polygon_without_the_regular_pattern_is_rejected(
+        self, monkeypatch
+    ):
+        # a trapezoid in place of the rounded square: each edge turns left
+        # to the next, but two opposite edges are not antiparallel
+        from illum import polygons
+
+        trapezoid = ConvexPolygon([(0, 0), (2, 0), (1, 1), (0, 1)])
+        monkeypatch.setattr(polygons, "ConvexPolygon", lambda verts: trapezoid)
+        with pytest.raises(GeometryInternalError):
+            regular_polygon_rational(4)
 
     def test_even_case_is_centrally_symmetric(self):
         poly = regular_polygon_rational(8)
