@@ -107,16 +107,14 @@ def lift_directions(
     return DirectionMultiset(entries)
 
 
-def recursive_ball_construction(
-    m: int, d: int, tol: Tolerance = Tolerance()
-) -> DirectionMultiset:
+def recursive_ball_construction(m: int, d: int) -> DirectionMultiset:
     """(d-1)m + 1 + ceil(m/2) directions for the d-ball, built from the
     3-ball fan by repeated lift steps."""
     if d < 3:
         raise DomainError("the recursive construction needs d >= 3")
     multiset = b3_direction_multiset(m)
     for _ in range(3, d):
-        multiset = lift_directions(multiset, m, tol)
+        multiset = lift_directions(multiset, m)
     return multiset
 
 
@@ -124,18 +122,18 @@ def recursive_ball_construction(
 # analytic three-band mirror of the 3-ball construction
 # --------------------------------------------------------------------------
 
-def b3_band_report(m: int, eps: float | None = None, n_samples: int = 20_000):
+def b3_band_report(m: int, n_samples: int = 20_000):
     """Per-band illumination counts following the construction's own case
     analysis, independent of the generic verifier.
 
+    The fan uses its default tilt eps, half of :func:`b3_eps_bound`.
     Bands partition the sphere by height: below -sqrt(1-eps^2) the m odd
     fan directions work; the middle band uses the m fan slots whose azimuth
     is within m*pi/(2m+1) of the point; above 1/2 the even slots of that
     window and the down copies take over.  Returns the minimum count seen
     per band, each of which must be >= m.
     """
-    if eps is None:
-        eps = b3_eps_bound(m) / 2
+    eps = b3_eps_bound(m) / 2
     multiset = b3_direction_multiset(m, eps)
     units = [d.unit() for d, _ in multiset.entries[:-1]]
     k = 2 * m + 1

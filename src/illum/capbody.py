@@ -42,12 +42,12 @@ from .polygons import (
 
 def _orthonormal_pair(vhat):
     """Two unit vectors spanning the plane orthogonal to the unit 3-vector
-    ``vhat``, so that (vhat, b1, b2) is an orthonormal frame."""
-    helper = np.array([0.0, 0.0, 1.0])
-    if abs(vhat @ helper) > 0.9:
-        helper = np.array([1.0, 0.0, 0.0])
+    ``vhat``, so that (vhat, b1, b2) is an orthonormal frame.  ``vhat`` may
+    be an (N, 3) array of rows; b1 and b2 are then (N, 3) as well."""
+    vhat = np.asarray(vhat, dtype=float)
+    helper = np.where(np.abs(vhat[..., 2:]) > 0.9, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     b1 = np.cross(vhat, helper)
-    b1 /= np.linalg.norm(b1)
+    b1 /= np.linalg.norm(b1, axis=-1, keepdims=True)
     b2 = np.cross(vhat, b1)
     return b1, b2
 
@@ -201,20 +201,21 @@ def _point_in_spiky_hull(v, p):
     return _rows_or_bool(((p * p).sum(axis=-1) <= 1.0) | _point_in_spike(v, p))
 
 
-def _point_in_cone_interior(v, p) -> bool:
+def _point_in_cone_interior(v, p):
     """p strictly inside the tangent-cone part of conv(ball + apex v), i.e.
     on the apex side of the tangency plane and strictly within the cone of
     tangent lines.  For points on the sphere this is exactly interiority of
-    the spiky body off the ball."""
-    vf = tuple(float(c) for c in v)
-    pf = tuple(float(c) for c in p)
-    if tuple(pf) == tuple(vf):
-        return False
-    if dot(pf, vf) < 1.0:
-        return False
-    w = tuple(x - y for x, y in zip(vf, pf))
-    axial = dot(w, vf)
-    return axial > 0 and axial * axial > dot(w, w) * (dot(vf, vf) - 1.0)
+    the spiky body off the ball.  Float rows as in ``_point_in_spike``."""
+    v = np.asarray(v, dtype=float)
+    p = np.asarray(p, dtype=float)
+    w = v - p
+    axial = (w * v).sum(axis=-1)
+    inside = (
+        ((p * v).sum(axis=-1) >= 1.0)
+        & (axial > 0)
+        & (axial * axial > (w * w).sum(axis=-1) * ((v * v).sum(axis=-1) - 1.0))
+    )
+    return _rows_or_bool(inside)
 
 
 def _require_single_apex(spec: CapBodySpec):
@@ -228,14 +229,15 @@ def in_spike(spec: CapBodySpec, p) -> bool:
     return _point_in_spike(_require_single_apex(spec), p)
 
 
-def in_open_cap(spec: CapBodySpec, p, tol: Tolerance = Tolerance()) -> bool:
+def in_open_cap(spec: CapBodySpec, p) -> bool:
     """Is the boundary point p inside the open cap lit by the apex?
 
     For the ball base this is the strict support-plane test <p, v> > 1.
+    p must lie within 1e-6 of the unit sphere.
     """
     v = _require_single_apex(spec)
     norm = math.sqrt(sum(float(c) ** 2 for c in p))
-    if abs(norm - 1.0) > max(tol.margin, 1e-9):
+    if abs(norm - 1.0) > 1e-6:
         raise PreconditionViolation("point is not on the unit sphere")
     if is_exact_coords(v) and is_exact_coords(p):
         return dot(frac_vec(p), frac_vec(v)) > 1

@@ -36,6 +36,7 @@ from .geometry import (
     Direction,
     DirectionMultiset,
     _primitive_ray,
+    _ray_unit,
     angle_sort_key,
     frac_vec,
     in_halfopen_arc,
@@ -74,8 +75,7 @@ class Arc:
 
     def length(self) -> float:
         """Arc length in radians (float, for reporting only)."""
-        sx, sy = float(self.start[0]), float(self.start[1])
-        ex, ey = float(self.end[0]), float(self.end[1])
+        (sx, sy), (ex, ey) = (_ray_unit(r) for r in self.rays)
         ang = math.atan2(sx * ey - sy * ex, sx * ex + sy * ey)
         return ang % (2 * math.pi)
 
@@ -307,11 +307,9 @@ def min_mfold_pierce_bruteforce(system: ArcSystem, m: int) -> int:
     order = _slot_order(system)
     member = np.array(_membership(system, order), dtype=np.int64)
     for size in range(m, m * n + 1):
-        combos = list(combinations_with_replacement(range(n), size))
+        combos = np.array(list(combinations_with_replacement(range(n), size)))
         counts = np.zeros((len(combos), n), dtype=np.int64)
-        for row, combo in enumerate(combos):
-            for k in combo:
-                counts[row, k] += 1
+        np.add.at(counts, (np.arange(len(combos))[:, None], combos), 1)
         coverage = counts @ member.T
         if bool((coverage >= m).all(axis=1).any()):
             return size

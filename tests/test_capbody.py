@@ -8,6 +8,8 @@ import pytest
 from illum.capbody import (
     CapBodySpec,
     SphericalCap,
+    _orthonormal_pair,
+    _point_in_cone_interior,
     _point_in_spike,
     _point_in_spiky_hull,
     _slot_multiplicities,
@@ -162,7 +164,9 @@ class TestRowPredicates:
         assert one.tolist() == [apex_illuminates(apexes[0], u) for u in dirs]
         assert type(apex_illuminates(apexes[0], dirs[0])) is bool
 
-    @pytest.mark.parametrize("test", [_point_in_spike, _point_in_spiky_hull])
+    @pytest.mark.parametrize(
+        "test", [_point_in_spike, _point_in_spiky_hull, _point_in_cone_interior]
+    )
     def test_spike_rows(self, test):
         apexes, points, _ = self.rows()
         got = test(apexes, points)
@@ -172,6 +176,19 @@ class TestRowPredicates:
         one = test(apexes[0], points)
         assert one.tolist() == [test(apexes[0], p) for p in points]
         assert type(test(apexes[0], points[0])) is bool
+
+    def test_orthonormal_pair_rows(self):
+        apexes, _, _ = self.rows()
+        poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.6, 0.8]]
+        vhat = np.concatenate([apexes / np.linalg.norm(apexes, axis=1)[:, None], poles])
+        b1, b2 = _orthonormal_pair(vhat)
+        assert b1.shape == b2.shape == vhat.shape
+        for row, a, b in zip(vhat, b1, b2):
+            one = _orthonormal_pair(row)
+            assert (a.tolist(), b.tolist()) == (one[0].tolist(), one[1].tolist())
+        frames = np.stack([vhat, b1, b2], axis=1)
+        gram = frames @ frames.transpose(0, 2, 1)
+        assert np.abs(gram - np.eye(3)).max() < 1e-12
 
     @pytest.mark.parametrize("test", [_point_in_spike, _point_in_spiky_hull])
     def test_random_rows_match_exact_test(self, test):

@@ -57,10 +57,23 @@ def _record(monkeypatch, name):
 
 
 def _run_entry(name):
-    result = dict(lemmas._SUITE)[name](np.random.default_rng(3))
-    assert result.name == name
-    assert result.passed is False and result.detail
-    return result
+    """The failure detail of one entry at a fixed seed; it must fail."""
+    detail = dict(lemmas._SUITE)[name](np.random.default_rng(3))
+    assert isinstance(detail, str) and detail
+    return detail
+
+
+def test_results_take_their_names_from_the_suite(monkeypatch):
+    def crash(rng):
+        raise ValueError("boom")
+
+    suite = [
+        ("holds", lambda rng: None), ("fails", lambda rng: "why"), ("crashes", crash)
+    ]
+    monkeypatch.setattr(lemmas, "_SUITE", suite)
+    got = [(r.name, r.passed, r.detail) for r in run_lemma_suite(0)]
+    assert got == [("holds", True, ""), ("fails", False, "why"),
+                   ("crashes", False, "error: boom")]
 
 
 class TestBatchedEntriesCatchFailures:
@@ -71,33 +84,50 @@ class TestBatchedEntriesCatchFailures:
         calls = _replace(
             monkeypatch, "_point_in_spike", lambda f, v, p: np.zeros(len(p), dtype=bool)
         )
-        result = _run_entry("hull_union_equality")
+        detail = _run_entry("hull_union_equality")
         x = calls[0][0][1]
         first = x[(x * x).sum(axis=1) > 1.0][0]
-        assert result.detail == f"point {first} escaped all spikes"
+        assert detail == f"point {first} escaped all spikes"
 
     def test_spike_containment_with_the_bare_ball(self, monkeypatch):
         calls = _replace(
             monkeypatch, "_point_in_spiky_hull",
             lambda f, v, p: (p * p).sum(axis=1) <= 1.0,
         )
-        result = _run_entry("spike_containment")
+        detail = _run_entry("spike_containment")
         y = calls[0][0][1]
         first = y[(y * y).sum(axis=1) > 1.0][0]
-        assert result.detail == f"{first} left the outer spiky body"
+        assert detail == f"{first} left the outer spiky body"
 
     def test_apex_transfer_with_antipodal_cap_points(self, monkeypatch):
         calls = _replace(monkeypatch, "_random_cap_point", lambda f, rng, v: -f(rng, v))
-        result = _run_entry("apex_transfer_to_cap")
+        detail = _run_entry("apex_transfer_to_cap")
         # every true cap point is lit, so every antipode is not
-        assert result.detail == f"cap point {calls[0][1][0]} not lit"
+        assert detail == f"cap point {calls[0][1][0]} not lit"
 
     def test_spike_to_spike_with_flipped_apex_test(self, monkeypatch):
         calls = _replace(monkeypatch, "apex_illuminates", lambda f, v, u: ~f(v, u))
-        result = _run_entry("spike_to_spike_transfer")
+        detail = _run_entry("spike_to_spike_transfer")
         s, u = calls[0][0]
         first = s[capbody.apex_illuminates(s, u)][0]
-        assert result.detail == f"spike point {first} not lit"
+        assert detail == f"spike point {first} not lit"
+
+    def test_cap_interior_identity_with_negated_cone_test(self, monkeypatch):
+        calls = _replace(
+            monkeypatch, "_point_in_cone_interior", lambda f, v, p: ~f(v, p)
+        )
+        detail = _run_entry("cap_interior_identity")
+        # the true test agrees with <p, v> > 1 on every row, so row 0 offends
+        v, p = calls[0][0]
+        assert detail == f"disagreement at {p[0]} apex {v[0]}"
+
+    def test_cap_interior_identity_with_negated_open_cap(self, monkeypatch):
+        calls = _replace(monkeypatch, "in_open_cap", lambda f, spec, p: not f(spec, p))
+        detail = _run_entry("cap_interior_identity")
+        spec, p = calls[0][0]
+        assert detail == (
+            f"disagreement at {np.array(p)} apex {np.array(spec.apexes[0])}"
+        )
 
     def test_cap_containment_with_apex_beyond_the_spike(self, monkeypatch):
         apexes = _record(monkeypatch, "_random_apex")
@@ -107,46 +137,47 @@ class TestBatchedEntriesCatchFailures:
         # a point cap passes the radius comparison, leaving the sphere check
         _replace(monkeypatch, "closed_cap_of_ball",
                  lambda f, v: SphericalCap((0.0, 0.0, 1.0), 0.0))
-        result = _run_entry("cap_containment")
-        spheres = [out for _, out in units if len(out) == 50]
-        assert len(spheres) == len(apexes)
-        for (_, v), p in zip(apexes, spheres):
-            band = (p @ (1.5 * v[0]) > 1.0) & ~(p @ v[0] > 1.0)
+        detail = _run_entry("cap_containment")
+        [(_, v)] = apexes
+        spheres = units[-1][1]
+        assert spheres.shape == (len(v) * 50, 3)
+        for a, p in zip(v, spheres.reshape(len(v), 50, 3)):
+            band = (p @ (1.5 * a) > 1.0) & ~(p @ a > 1.0)
             if band.any():
                 break
         assert band.any()
-        assert result.detail == f"point {p[band][0]} only in the inner cap"
+        assert detail == f"point {p[band][0]} only in the inner cap"
 
     def test_closed_cap_transfer_with_direction_away_from_ball(self, monkeypatch):
         apexes = _record(monkeypatch, "_random_apex")
         # u = 2v - v points away from the ball, so no tangency point is lit
         _replace(monkeypatch, "_interior_ball_point",
                  lambda f, rng, n, d: 2 * apexes[-1][1])
-        result = _run_entry("closed_cap_transfer")
+        detail = _run_entry("closed_cap_transfer")
         v = apexes[0][1][0]
         r = float(np.linalg.norm(v))
         b1, _ = _orthonormal_pair(v / r)
         first = v / r / r + math.sqrt(1.0 - 1.0 / (r * r)) * b1
-        assert result.detail == f"tangency point {first} not lit"
+        assert detail == f"tangency point {first} not lit"
 
     def test_incompatible_pairs_with_half_space_test(self, monkeypatch):
         calls = _replace(
             monkeypatch, "apex_illuminates",
             lambda f, v, u: u @ -np.asarray(v, dtype=float) > 0,
         )
-        result = _run_entry("incompatible_pairs")
+        detail = _run_entry("incompatible_pairs")
         dirs = calls[0][0][1]
         apexes = b3_prism_apexes(5)
         top, ring0 = np.asarray(apexes[-1]), np.asarray(apexes[0])
         both = (dirs @ -top > 0) & (dirs @ -ring0 > 0)
-        assert result.detail == f"direction {dirs[both][0]} lights both"
+        assert detail == f"direction {dirs[both][0]} lights both"
 
     def test_apex_cap_equivalence_with_flipped_apex_test(self, monkeypatch):
         calls = _replace(monkeypatch, "apex_illuminates", lambda f, v, u: ~f(v, u))
-        result = _run_entry("apex_cap_equivalence")
+        detail = _run_entry("apex_cap_equivalence")
         v, u = calls[0][0]
         # the entry skips pairs within 1e-6 of the cone boundary
         r = np.linalg.norm(v, axis=1)
         to_axis = np.arccos(np.clip((u * -v).sum(axis=1) / r, -1.0, 1.0))
         i = np.flatnonzero(np.abs(np.arcsin(1.0 / r) - to_axis) >= 1e-6)[0]
-        assert result.detail == f"apex {v[i]} direction {u[i]}"
+        assert detail == f"apex {v[i]} direction {u[i]}"

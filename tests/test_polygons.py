@@ -72,6 +72,9 @@ class TestVertexArcs:
             system = vertex_arcs(regular_polygon_rational(n))
             for arc in system.arcs:
                 assert abs(arc.length() - want) < 1e-4
+        # coordinates far beyond float range: the vertex arcs still sum to pi
+        huge = vertex_arcs(ConvexPolygon([(0, 0), (10**400, 0), (0, 1)]))
+        assert abs(sum(arc.length() for arc in huge.arcs) - math.pi) < 1e-12
 
     def test_arc_count_matches_vertices(self):
         rng = np.random.default_rng(5)
