@@ -25,6 +25,7 @@ class CommandResult:
     status: str  # ok | fail | error
     payload: dict
     diagnostics: list[str] = field(default_factory=list)
+    debug: list[str] = field(default_factory=list)  # stderr under ILLUM_LOG=debug
 
     @property
     def exit_code(self) -> int:
@@ -33,6 +34,17 @@ class CommandResult:
 
 def _tolerance(args) -> Tolerance:
     return Tolerance(margin=getattr(args, "margin", 1e-6))
+
+
+def _verdict(report, payload: dict, diagnostics: list[str]) -> CommandResult:
+    """ok or fail by the report's verdict; the signs its exact check had to
+    recompute in integers go to the debug log."""
+    return CommandResult(
+        "ok" if report.passed else "fail",
+        payload,
+        diagnostics,
+        [f"signs recomputed exactly: {report.recomputed}"],
+    )
 
 
 # built once per process: construction costs milliseconds per call to run(),
@@ -180,7 +192,7 @@ def _cmd_smooth_construct(args) -> CommandResult:
     ]
     if args.out:
         jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
-    return CommandResult("ok" if report.passed else "fail", payload, diagnostics)
+    return _verdict(report, payload, diagnostics)
 
 
 def _ball_result(args, multiset, d: int) -> CommandResult:
@@ -202,7 +214,7 @@ def _ball_result(args, multiset, d: int) -> CommandResult:
     ]
     if args.out:
         jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
-    return CommandResult("ok" if report.passed else "fail", payload, diagnostics)
+    return _verdict(report, payload, diagnostics)
 
 
 def _cmd_ball_construct(args) -> CommandResult:
@@ -218,8 +230,8 @@ def _cmd_ball_construct(args) -> CommandResult:
 def _cmd_ball_verify(args) -> CommandResult:
     multiset = jsonio.multiset_from_json(jsonio.read_json(args.dirs))
     report = verify_mfold(Ball(args.d), multiset, args.m, _tolerance(args))
-    return CommandResult(
-        "ok" if report.passed else "fail",
+    return _verdict(
+        report,
         {"schema": jsonio.SCHEMA, "report": jsonio.report_to_json(report)},
         [f"{'pass' if report.passed else 'FAIL'} at m={args.m}, d={args.d}"],
     )
@@ -268,8 +280,8 @@ def _cmd_capbody_verify(args) -> CommandResult:
     spec = jsonio.capbody_from_json(jsonio.read_json(args.spec))
     multiset = jsonio.multiset_from_json(jsonio.read_json(args.dirs))
     report = verify_mfold(spec, multiset, args.m, _tolerance(args))
-    return CommandResult(
-        "ok" if report.passed else "fail",
+    return _verdict(
+        report,
         {"schema": jsonio.SCHEMA, "report": jsonio.report_to_json(report)},
         [f"{'pass' if report.passed else 'FAIL'} at m={args.m}"],
     )
@@ -341,11 +353,21 @@ _HANDLERS = {
 }
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """The parsed arguments of one invocation; raises SystemExit on bad ones
+    (after argparse has written its message to stderr)."""
+    return _build_parser().parse_args(argv)
+
+
+def dispatch(args: argparse.Namespace) -> CommandResult:
+    """Run the command that parsed ``args`` names."""
+    return _HANDLERS[args.command](args)
+
+
 def run(argv) -> CommandResult:
     """Dispatch one CLI invocation; never raises for anticipated errors."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return CommandResult(
             "error" if exc.code else "ok",
@@ -355,7 +377,7 @@ def run(argv) -> CommandResult:
             [],
         )
     try:
-        return _HANDLERS[args.command](args)
+        return dispatch(args)
     except (IllumError, OSError, json.JSONDecodeError) as exc:
         payload = {"schema": jsonio.SCHEMA, "error": f"{type(exc).__name__}: {exc}"}
         report = getattr(exc, "report", None)  # ConstructionFailure carries one
@@ -373,6 +395,8 @@ def main(argv=None) -> int:
         for line in result.diagnostics:
             sys.stderr.write(line + "\n")
         if log_level == "debug":
+            for line in result.debug:
+                sys.stderr.write(line + "\n")
             sys.stderr.write(f"status: {result.status}\n")
     return result.exit_code
 

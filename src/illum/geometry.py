@@ -5,8 +5,11 @@ Arithmetic policy: polygons and piercing arcs keep exact
 feeds an exact verdict runs on their primitive integer rays
 (``_primitive_ray``), computed once per vector; ball, smooth-body and
 cap-body verdicts are exact for the rational values of the float unit
-directions (and apexes), on integer multiples of them, with a float filter
-in front of the cap-body integer tests.
+directions (and apexes), on integer multiples of them.  Their signs come
+from floats with proven running error bounds (``_Bounded``,
+``_filtered_sign``) wherever a bound decides them; zeros known by
+construction are set without arithmetic, and integer arithmetic decides
+only the signs the bounds leave open.
 Inequalities are strict throughout: a direction tangent to the body at a
 boundary point does not illuminate it.
 """
@@ -16,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
+from functools import cache, cmp_to_key
+from itertools import combinations, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,13 +63,32 @@ def _primitive_ray(coords) -> tuple[int, ...]:
     can run on these ints instead of on ``Fraction``s, and two vectors name
     the same ray iff their primitive rays are equal.
     """
-    fracs = [as_fraction(c) for c in coords]
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    exact = (float, int, Fraction)
+    ratios = [
+        (c if isinstance(c, exact) else as_fraction(c)).as_integer_ratio()
+        for c in coords
+    ]
+    den = math.lcm(*(q for _, q in ratios))
+    ints = [p * (den // q) for p, q in ratios]
     g = math.gcd(*ints)
     if not g:
         raise DomainError("zero vector has no ray")
     return tuple(i // g for i in ints)
+
+
+def _binary_exponent(x) -> int:
+    """e with 2^(e-1) <= |x| < 2^(e+1) for a nonzero float or rational x."""
+    if isinstance(x, float):
+        return math.frexp(x)[1]
+    x = Fraction(x)
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
+def _scaled_float(x, shift: int) -> float:
+    """x 2^shift rounded to a float; exact scaling before the one rounding."""
+    if isinstance(x, float):
+        return math.ldexp(x, shift)
+    return float(Fraction(x) * Fraction(2) ** shift)
 
 
 def _ray_unit(ray) -> np.ndarray:
@@ -169,7 +191,12 @@ class Direction:
         return len(self.coords)
 
     def unit(self) -> np.ndarray:
-        v = np.asarray([float(c) for c in self.coords], dtype=np.float64)
+        """Float unit vector.  The coordinates are first scaled by the power
+        of two that brings the largest near 1: exact, so the result is the
+        same bits wherever the unscaled floats and their squares neither
+        overflow nor underflow, and coordinates of any size stay in range."""
+        shift = -max(_binary_exponent(c) for c in self.coords if c)
+        v = np.asarray([_scaled_float(c, shift) for c in self.coords])
         return v / np.linalg.norm(v)
 
     def __eq__(self, other) -> bool:
@@ -377,7 +404,11 @@ def ellipse_body(a: float, b: float) -> SupportFunctionBody:
 
 @dataclass
 class IlluminationReport:
-    """Verification verdict with the least-covered witness point."""
+    """Verification verdict with the least-covered witness point.
+
+    ``recomputed`` counts the signs the float filter of an exact verifier
+    left open and integer arithmetic decided; it is not part of the JSON
+    report."""
 
     passed: bool
     m: int
@@ -385,6 +416,7 @@ class IlluminationReport:
     worst_count: int
     worst_margin: float
     samples: int
+    recomputed: int = 0
 
     def __bool__(self) -> bool:
         return self.passed
@@ -585,7 +617,13 @@ def _worst_index(points: np.ndarray, counts: np.ndarray) -> int:
 
 
 def _report(
-    m: int, point, count: int, margins: np.ndarray, mults: np.ndarray, samples: int
+    m: int,
+    point,
+    count: int,
+    margins: np.ndarray,
+    mults: np.ndarray,
+    samples: int,
+    recomputed: int = 0,
 ) -> IlluminationReport:
     """Verdict at the worst point, with the m-th largest margin there."""
     expanded = np.sort(np.repeat(margins, mults))
@@ -596,6 +634,7 @@ def _report(
         worst_count=int(count),
         worst_margin=float(expanded[-min(m, len(expanded))]),
         samples=samples,
+        recomputed=recomputed,
     )
 
 
@@ -626,82 +665,8 @@ def _verify_polygon_exact(
     return _report(m, poly.vertices[wi], least, margins, mults, poly.n)
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination: every
-    division is exact, so all entries stay integers."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _exact_sphere_minimum(
-    units: np.ndarray, mults: np.ndarray, tau: float
-) -> tuple[int, np.ndarray, int]:
-    """Exact minimum over the unit sphere of c(p) = #{j : <u_j, p> < -tau},
-    with multiplicity, for the rational values of the float rows u_j.
-
-    c is constant on the faces of the arrangement of the hyperplanes
-    <u_j, x> = -tau, only drops on their closures, and never drops along a
-    ray leaving the sphere.  So its minimum is attained (a) far out along
-    an extreme ray, where d-1 hyperplanes u_j^perp meet, or (b) if tau > 0,
-    at a vertex v with |v| >= 1, where d hyperplanes meet.  In homogeneous
-    coordinates X = (x, 1) both are cross products of d rows (u_j, tau),
-    the plane at infinity among them for (a); for (b) this is Cramer's
-    rule.  Directions spanning at most d-2 dimensions give neither, and a
-    point orthogonal to them all counts 0.
-
-    Returns the minimum, a float unit point attaining it, and the number of
-    subsets evaluated: C(k, d-1) + C(k, d) for k distinct rows, the second
-    term only when tau > 0.
-    """
-    d = units.shape[1]
-    merged = {}
-    for row, mult in zip(units.tolist(), mults.tolist()):
-        # the primitive integer row h ~ (u, tau): <u, x> < -tau iff <h, X> < 0
-        key = _primitive_ray((*row, tau))
-        merged[key] = merged.get(key, 0) + mult
-    at_infinity = (0,) * d + (1,)
-    points = []
-    for subset in combinations([at_infinity, *merged], d):
-        if not tau and subset[0] != at_infinity:
-            break  # with tau = 0 every vertex is the origin
-        # signed minors, <point, X> = det(subset, X); the last one is 0 for (a)
-        point = [
-            (-1) ** (d + i) * _det([h[:i] + h[i + 1:] for h in subset])
-            for i in range(d + 1)
-        ]
-        if point[-1] < 0:
-            point = [-c for c in point]
-        if point[-1] and dot(point[:-1], point[:-1]) >= point[-1] ** 2:
-            points.append(point)
-        elif not point[-1] and any(point):
-            points += [point, [-c for c in point]]
-    k = len(merged)
-    evaluated = math.comb(k, d - 1) + (math.comb(k, d) if tau else 0)
-    if not points:
-        return 0, np.linalg.svd(units)[2][-1], evaluated
-    counts = [sum(mult for h, mult in merged.items() if dot(h, p) < 0) for p in points]
-    best = min(counts)
-    x = points[counts.index(best)][:-1]
-    scale = max(abs(c) for c in x)
-    x = np.asarray([c / scale for c in x])
-    return best, x / np.linalg.norm(x), evaluated
-
-
 # --------------------------------------------------------------------------
-# exact cap-body verification: arrangement vertices behind a float filter
+# float filter: running error bounds in front of exact integer signs
 # --------------------------------------------------------------------------
 
 #: bound on the rounding error of one float64 operation relative to its
@@ -709,7 +674,7 @@ def _exact_sphere_minimum(
 _EPS = 2.0 ** -52
 #: bound on the absolute rounding error of an operation that underflows
 _ETA = 2.0 ** -1074
-#: vertex x plane signs per numpy pass; bounds the scratch matrices
+#: signs per numpy pass; bounds the scratch matrices
 _SIGN_CHUNK = 1 << 18
 
 
@@ -786,6 +751,24 @@ class _Bounded:
             + (terms - 2) * _EPS * np.abs(self.val).sum(axis=-1, keepdims=True),
         )
 
+    @staticmethod
+    def combination(pairs) -> "_Bounded":
+        """Sum of the products c_i x_i over the pairs (c_i, x_i) of exact
+        float arrays and ``_Bounded`` arrays, accumulated in order: t
+        products and t - 1 additions, so by the rules above it is within
+        sum |c_i| e_i + (t - 1) _EPS sum |c_i x_i| + _EPS |s| + (t + 1) _ETA.
+        One pair is held at a time."""
+        val = size = spread = 0.0
+        terms = 0
+        for coeff, term in pairs:
+            product = coeff * term.val
+            val = val + product
+            size = size + np.abs(product)
+            spread = spread + np.abs(coeff) * term.err
+            terms += 1
+        err = spread + (terms - 1) * _EPS * size + _EPS * np.abs(val)
+        return _Bounded(val, err + (terms + 1) * _ETA)
+
     def sqrt(self) -> "_Bounded":
         """Root of max(x, 0), for a radicand whose exact value is >= 0."""
         root = np.sqrt(np.maximum(self.val, 0.0))
@@ -804,6 +787,262 @@ def _filtered_sign(value: np.ndarray, bound: np.ndarray):
     sign = np.where(value > band, 1, np.where(value < -band, -1, 0)).astype(np.int8)
     return sign, ~(np.abs(value) > band)
 
+
+# --------------------------------------------------------------------------
+# exact sphere minimum: bounded float cofactors of all subsets at once
+# --------------------------------------------------------------------------
+
+@cache
+def _laplace_plan(d: int) -> tuple:
+    """Index arrays of a Laplace expansion of the d x d minors of a
+    d x (d+1) matrix, one level per row r = 1..d-1: the column sets of size
+    r + 1 in lexicographic order, for each of them its columns, the index
+    of each set with one column left out among the sets of size r, and the
+    cofactor signs (-1)^(r + i) of expanding along row r."""
+    levels = []
+    index = {(col,): col for col in range(d + 1)}
+    for r in range(1, d):
+        sets = list(combinations(range(d + 1), r + 1))
+        minors = [[index[s[:i] + s[i + 1:]] for i in range(r + 1)] for s in sets]
+        signs = [(-1.0) ** (r + i) for i in range(r + 1)]
+        levels.append((np.asarray(sets), np.asarray(minors), signs))
+        index = {s: i for i, s in enumerate(sets)}
+    return tuple(levels)
+
+
+def _bounded_cofactors(a: np.ndarray) -> _Bounded:
+    """The signed cofactors c_i = (-1)^(d+i) det(M without column i) of each
+    exact float d x (d+1) matrix M of the stack ``a`` (shape (S, d, d+1)),
+    so that <c, X> = det(M, X), with ``_Bounded`` bounds: the minors of the
+    first r + 1 rows on every column set from those of the first r rows.
+    Only +, - and x of floats, about (d+1) 2^d products per matrix."""
+    d = a.shape[1]
+    minors = _Bounded(a[:, 0, :])
+    for r, (sets, smaller, signs) in enumerate(_laplace_plan(d), start=1):
+        minors = _Bounded.combination(
+            (a[:, r, sets[:, i]] * sign, minors[:, smaller[:, i]])
+            for i, sign in enumerate(signs)
+        )
+    # the set without column i is the (d - i)-th of size d
+    signs = [(-1.0) ** (d + i) for i in range(d + 1)]
+    return _Bounded(minors.val[:, ::-1] * signs, minors.err[:, ::-1])
+
+
+def _cofactor_vector(rows) -> list[int]:
+    """The signed cofactors c_i = (-1)^(d+i) det(rows without column i) of
+    d integer rows of length d+1, so that <c, X> = det(rows, X); all 0 when
+    the rows have rank < d.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss: every division is
+    exact): with rank d it leaves D I on the pivot columns, D the determinant
+    of the pivot columns times the sign s of the row swaps, and D y on the
+    one other column q, where y solves the pivot columns against column q.
+    The kernel vector is D on q and -D y on the pivot columns; by Cramer's
+    rule c is that vector times s (-1)^(d+q).  Columns already pivoted are
+    not read again, so they are not updated."""
+    a = [list(r) for r in rows]
+    d = len(a)
+    sign, prev, pivots, free = 1, 1, [], None
+    for col in range(d + 1):
+        r = len(pivots)
+        pivot = next((i for i in range(r, d) if a[i][col]), None)
+        if pivot is None:
+            if free is not None:
+                return [0] * (d + 1)
+            free = col
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        top, p = a[r], a[r][col]
+        live = list(range(col + 1, d + 1)) + ([] if free is None else [free])
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                for j in live:
+                    row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+        pivots.append(col)
+    sign *= (-1) ** (d + free)
+    point = [0] * (d + 1)
+    point[free] = sign * prev
+    for row, col in zip(a, pivots):
+        point[col] = -sign * row[free]
+    return point
+
+
+def _subset_minimum(rows, frows, weights, subsets, cutoff):
+    """The least count below ``cutoff`` among the candidates of these
+    subsets (see ``_exact_sphere_minimum``), at the first candidate in
+    enumeration order that has it: returns (count, orientation of its
+    cofactor vector, subset, that vector if it was computed) or None, the
+    new cutoff and the number of signs decided in integers.
+
+    ``rows`` are the integer rows, the row at infinity first, ``frows`` the
+    float rows (positive multiples, so every sign agrees) and ``weights``
+    their multiplicities, 0 for the row at infinity.  The float stage
+    bounds the d+1 cofactors c of every subset and decides from them w's
+    sign, whether |x|^2 >= w^2 and whether any cofactor is nonzero, and
+    from bounded products the sign of <h, c> for every row h.  Zeros known
+    by construction are set, not computed: w for a subset with the row at
+    infinity, and <h, c> for the subset's own rows.
+
+    A candidate's count then lies in [lo, lo + slack]: lo weighs its
+    decided negative rows, slack its open ones.  One whose lo is not below
+    the least count before it (nor below the least lo + slack, plus 1)
+    cannot come first at the minimum and is skipped.  Every other open
+    question is settled in integers, in enumeration order: the subset's
+    exact cofactors once by ``_cofactor_vector``, then one integer dot
+    product per open sign."""
+    d = subsets.shape[1]
+    c = _bounded_cofactors(frows[subsets])
+    w_sign, w_open = _filtered_sign(c.val[:, d], c.err[:, d])
+    at_infinity = subsets[:, 0] == 0
+    w_sign[at_infinity], w_open[at_infinity] = 0, False
+    gap = (c[:, :d] * c[:, :d]).sum() - c[:, d:] * c[:, d:]
+    gap_sign, gap_open = _filtered_sign(gap.val[:, 0], gap.err[:, 0])
+    nonzero = (_filtered_sign(c.val, c.err)[0] != 0).any(axis=1)
+    finite = w_sign != 0
+    unknown = w_open | np.where(finite, gap_open, ~nonzero)
+    # slot 0: c turned to w >= 0; slot 1: its negation, a candidate iff w = 0
+    orient = np.where(w_sign < 0, -1.0, 1.0)
+    valid = np.stack(
+        [np.where(finite, gap_sign > 0, nonzero), ~finite & nonzero], axis=1
+    ) & ~unknown[:, None]
+
+    # <h, c~> is within sum |h_i| e_i + (d+1) (_EPS sum |h_i c~_i| + _ETA)
+    # of <h, c> in any summation order (d+1 products, d additions); the
+    # second _ETA term covers the underflow of the bound's own products.
+    # One matrix-vector product per row h keeps the scratch at (S, k): a
+    # single matrix product or a broadcast costs more memory than it saves
+    # time at these sizes.
+    size = np.abs(c.val)
+    value = np.stack([c.val @ h for h in frows], axis=1)
+    bound = np.stack(
+        [c.err @ h + (d + 1) * _EPS * (size @ h) for h in np.abs(frows)], axis=1
+    )
+    sign, undecided = _filtered_sign(value, bound + 2 * (d + 1) * _ETA)
+    own = np.arange(len(subsets))[:, None], subsets
+    sign[own], undecided[own] = 0, False
+    undecided[:, 0] = False  # the row at infinity weighs 0
+    # weights and counts are float64, exact below 2^53: the counting then
+    # runs on the float kernels the filter loads anyway
+    signed = np.stack(
+        [np.where(test, weights, 0.0).sum(1) for test in (sign < 0, sign > 0)], axis=1
+    )
+    slack = np.where(undecided, weights, 0.0).sum(1)
+    lo = np.where(orient[:, None] > 0, signed, signed[:, ::-1])
+    none = weights.sum() + 1  # above every count
+    if valid.any():
+        hi = np.where(valid, lo + slack[:, None], none)
+        cutoff = min(cutoff, int(hi.min()) + 1)
+
+    # slots with no open sign have their exact count; the others that may
+    # come in below the cutoff are resolved in order, against the least
+    # count before them
+    counts = np.where(valid & (lo < cutoff), lo, none)
+    known = np.where(slack[:, None] == 0, counts, none).ravel()
+    before = np.minimum.accumulate(np.concatenate([[none], known[:-1]]))
+    work = (unknown & (signed.min(axis=1) < cutoff)) | (
+        (counts < none) & (slack[:, None] > 0)
+    ).any(axis=1)
+    recomputed, exact, least = 0, {}, cutoff
+    for s in np.flatnonzero(work).tolist():
+        limit = min(least, int(before[2 * s]))
+        if unknown[s]:
+            if signed[s].min() >= limit:
+                continue
+            point = exact[s] = _cofactor_vector([rows[t] for t in subsets[s].tolist()])
+            recomputed += 1
+            w = point[-1]
+            orient[s] = -1 if w < 0 else 1
+            lo[s] = signed[s] if w >= 0 else signed[s, ::-1]
+            valid[s] = (dot(point[:-1], point[:-1]) >= w * w if w else any(point),
+                        not w and any(point))
+        for slot in (0, 1):
+            counts[s, slot] = none
+            if not valid[s, slot] or lo[s, slot] >= limit:
+                continue
+            count, o = int(lo[s, slot]), int(orient[s]) * (1 - 2 * slot)
+            if slack[s]:
+                if s not in exact:
+                    exact[s] = _cofactor_vector([rows[t] for t in subsets[s].tolist()])
+                for j in np.flatnonzero(undecided[s]).tolist():
+                    recomputed += 1
+                    if o * dot(rows[j], exact[s]) < 0:
+                        count += int(weights[j])
+            if count < limit:
+                counts[s, slot] = limit = least = count
+    flat = counts.ravel().tolist()
+    count = int(min(flat))
+    s, slot = divmod(flat.index(count), 2)
+    if count == none:
+        return None, cutoff, recomputed
+    o = int(orient[s]) * (1 - 2 * slot)
+    return (count, o, subsets[s].tolist(), exact.get(s)), count, recomputed
+
+
+def _exact_sphere_minimum(
+    units: np.ndarray, mults: np.ndarray, tau: float
+) -> tuple[int, np.ndarray, int, int]:
+    """Exact minimum over the unit sphere of c(p) = #{j : <u_j, p> < -tau},
+    with multiplicity, for the rational values of the float rows u_j.
+
+    c is constant on the faces of the arrangement of the hyperplanes
+    <u_j, x> = -tau, only drops on their closures, and never drops along a
+    ray leaving the sphere.  So its minimum is attained (a) far out along
+    an extreme ray, where d-1 hyperplanes u_j^perp meet, or (b) if tau > 0,
+    at a vertex v with |v| >= 1, where d hyperplanes meet.  In homogeneous
+    coordinates X = (x, w) both are the cofactor vectors of d rows
+    (u_j, tau), the row at infinity (0, ..., 0, 1) among them for (a); for
+    (b) this is Cramer's rule.  A vertex, turned to w > 0, is a candidate
+    when |x|^2 >= w^2; a point at infinity (w = 0, some cofactor nonzero)
+    gives two, X and then -X.  Directions spanning at most d-2 dimensions
+    give neither, and a point orthogonal to them all counts 0.
+
+    Subsets are taken in lexicographic order, chunk by chunk, and the
+    first candidate at the least count wins; its exact integer point gives
+    the float unit point (``_subset_minimum`` decides the signs).  Returns
+    the minimum, that unit point, the number of subsets evaluated,
+    C(k, d-1) + C(k, d) for k distinct rows (the second term only when
+    tau > 0), and the number of signs decided in integers.
+    """
+    d = units.shape[1]
+    merged = {}
+    for row, mult in zip(units.tolist(), mults.tolist()):
+        # the primitive integer row h ~ (u, tau): <u, x> < -tau iff <h, X> < 0
+        frow = (*row, tau)
+        merged.setdefault(_primitive_ray(frow), [frow, 0])[1] += mult
+    rows = [(0,) * d + (1,), *merged]
+    frows = np.asarray([rows[0], *(f for f, _ in merged.values())], dtype=np.float64)
+    weights = np.asarray([0.0, *(w for _, w in merged.values())])
+    k = len(merged)
+    if tau:
+        subsets = combinations(range(k + 1), d)
+    else:  # with tau = 0 every vertex is the origin
+        subsets = ((0, *s) for s in combinations(range(1, k + 1), d - 1))
+    widest = max(sets.size for sets, _, _ in _laplace_plan(d))
+    step = max(1, _SIGN_CHUNK // max(widest, k))
+    best, cutoff, recomputed = None, math.inf, 0
+    while chunk := list(islice(subsets, step)):
+        found, cutoff, r = _subset_minimum(
+            rows, frows, weights, np.asarray(chunk, dtype=np.intp), cutoff
+        )
+        best, recomputed = found or best, recomputed + r
+    evaluated = math.comb(k, d - 1) + (math.comb(k, d) if tau else 0)
+    if best is None:
+        return 0, np.linalg.svd(units)[2][-1], evaluated, recomputed
+    count, orient, subset, point = best
+    point = point or _cofactor_vector([rows[i] for i in subset])
+    x = [orient * c for c in point[:-1]]
+    scale = max(abs(c) for c in x)
+    x = np.asarray([c / scale for c in x])
+    return count, x / np.linalg.norm(x), evaluated, recomputed
+
+
+# --------------------------------------------------------------------------
+# exact cap-body verification: arrangement vertices behind a float filter
+# --------------------------------------------------------------------------
 
 def _cross(a, b):
     """Row-wise cross products of (n, 3) arrays or ``_Bounded`` arrays."""
@@ -1102,7 +1341,7 @@ def _verify_cap_body(spec, multiset: DirectionMultiset, m: int, tau: float):
     apexes = spec.apex_array().reshape(-1, dim)
     arrangement, weights = _cap_body_planes(units, mults, apexes, tau)
     vertices = _cap_body_vertices(arrangement, dim)
-    inside, counts, _ = _vertex_counts(arrangement, vertices, weights)
+    inside, counts, recomputed = _vertex_counts(arrangement, vertices, weights)
     apex_counts = _apex_counts(apexes, units, mults, tau)
     normals = vertices[0][inside, :dim]
     points = np.concatenate([normals, apexes])
@@ -1114,7 +1353,9 @@ def _verify_cap_body(spec, multiset: DirectionMultiset, m: int, tau: float):
         v = points[wi]
         r = float(np.linalg.norm(v))
         margins = -(units @ v) / r - math.sqrt(r * r - 1.0) / r
-    return _report(m, points[wi].tolist(), counts[wi], margins, mults, len(points))
+    return _report(
+        m, points[wi].tolist(), counts[wi], margins, mults, len(points), recomputed
+    )
 
 
 def verify_mfold(
@@ -1138,14 +1379,17 @@ def verify_mfold(
         return _verify_polygon_exact(body, multiset, m)
     if isinstance(body, (Ball, SupportFunctionBody)):
         units, mults = multiset.as_arrays()
-        count, normal, evaluated = _exact_sphere_minimum(units, mults, tol.margin)
+        count, normal, evaluated, recomputed = _exact_sphere_minimum(
+            units, mults, tol.margin
+        )
         point = normal
         if isinstance(body, SupportFunctionBody):
             # u lights the one boundary point with outward normal n iff
             # <u, n> < 0, so the body is lit exactly as its circle of normals
             theta = math.atan2(normal[1], normal[0])
             point = body.boundary_points(np.asarray([theta]))[0]
-        return _report(m, point.tolist(), count, -(units @ normal), mults, evaluated)
+        margins = -(units @ normal)
+        return _report(m, point.tolist(), count, margins, mults, evaluated, recomputed)
     from .capbody import CapBodySpec, validate_cap_body  # deferred: capbody builds on this module
 
     if isinstance(body, CapBodySpec):

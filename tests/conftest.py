@@ -1,13 +1,22 @@
 import math
 import os
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import illum
 from illum import _kernels
 from illum.errors import DomainError
-from illum.geometry import ConvexPolygon, _report, _worst_index, angle_sort_key
+from illum.geometry import (
+    ConvexPolygon,
+    _primitive_ray,
+    _report,
+    _worst_index,
+    angle_sort_key,
+    dot,
+)
 
 
 def random_convex_polygon(rng, n: int, coord_range: int = 12) -> ConvexPolygon:
@@ -100,3 +109,66 @@ def sampled_report(samples, multiset, m: int, tau: float = 1e-6):
     return _report(
         m, samples.points[wi].tolist(), counts[wi], margins, mults, len(samples.points)
     )
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination: every
+    division is exact, so all entries stay integers."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def reference_cofactors(subset) -> list[int]:
+    """Signed minors of d integer rows of length d+1: <c, X> = det(rows, X)."""
+    d = len(subset)
+    return [
+        (-1) ** (d + i) * bareiss_det([h[:i] + h[i + 1:] for h in subset])
+        for i in range(d + 1)
+    ]
+
+
+def reference_sphere_minimum(units, mults, tau: float):
+    """All-integer reference for ``geometry._exact_sphere_minimum``: every
+    candidate of every subset from its d+1 Bareiss minors, then the counts
+    in Python.  Returns the minimum, its float unit point and the number of
+    subsets evaluated."""
+    d = units.shape[1]
+    merged = {}
+    for row, mult in zip(units.tolist(), mults.tolist()):
+        key = _primitive_ray((*row, tau))
+        merged[key] = merged.get(key, 0) + mult
+    at_infinity = (0,) * d + (1,)
+    points = []
+    for subset in combinations([at_infinity, *merged], d):
+        if not tau and subset[0] != at_infinity:
+            break
+        point = reference_cofactors(subset)
+        if point[-1] < 0:
+            point = [-c for c in point]
+        if point[-1] and dot(point[:-1], point[:-1]) >= point[-1] ** 2:
+            points.append(point)
+        elif not point[-1] and any(point):
+            points += [point, [-c for c in point]]
+    k = len(merged)
+    evaluated = math.comb(k, d - 1) + (math.comb(k, d) if tau else 0)
+    if not points:
+        return 0, np.linalg.svd(units)[2][-1], evaluated
+    counts = [sum(mult for h, mult in merged.items() if dot(h, p) < 0) for p in points]
+    best = min(counts)
+    x = points[counts.index(best)][:-1]
+    scale = max(abs(c) for c in x)
+    x = np.asarray([c / scale for c in x])
+    return best, x / np.linalg.norm(x), evaluated

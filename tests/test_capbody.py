@@ -586,6 +586,21 @@ class TestExactCapBodyVerifier:
         beyond = verify_mfold(CapBodySpec(dim, []), multiset, 1, Tolerance(margin=2.0))
         assert beyond.worst_count == 0 and beyond.samples == 2
 
+    def test_report_carries_the_exact_recomputations(self):
+        # the axis directions at margin 0 meet in vertices where many signs
+        # are exactly 0; the report counts what the filter left open
+        axes = DirectionMultiset.from_vectors(
+            [tuple(float(s * (i == j)) for j in range(3))
+             for i in range(3) for s in (1, -1)]
+        )
+        spec = CapBodySpec(3, [(2.0, 0.0, 0.0)])
+        units, mults = axes.as_arrays()
+        arrangement, weights = _cap_body_planes(units, mults, spec.apex_array(), 0.0)
+        vertices = _cap_body_vertices(arrangement, 3)
+        _, _, recomputed = _vertex_counts(arrangement, vertices, weights)
+        report = verify_mfold(spec, axes, 1, Tolerance(margin=0.0))
+        assert report.recomputed == recomputed > 0
+
     def test_apex_on_the_cone_is_not_lit(self):
         # (-1, 0, 0) and (0, 0, -1) make exactly the cone half-angle pi/4
         # with -(1, 0, 1); the six axis directions light every sphere point

@@ -156,6 +156,21 @@ class TestRoundTrips:
         twice = run(["ball-verify", "--dirs", str(path), "-m", "2", "-d", "6"])
         assert twice.exit_code == 1 and twice.payload["report"]["worst_count"] == 1
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 1e-320, "10^400"])
+    def test_ball_verify_of_the_tetrahedron_at_any_scale(self, tmp_path, scale):
+        # the regular simplex lights S^2 once; the coordinates' size must not
+        # matter (huge floats gave a FAIL, tiny floats and exact 10^400 a
+        # traceback)
+        def coord(c):
+            return str(c * 10 ** 400) if scale == "10^400" else c * scale
+
+        tetrahedron = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+        path = tmp_path / "tetrahedron.json"
+        entries = [{"dir": [coord(c) for c in v], "mult": 1} for v in tetrahedron]
+        path.write_text(json.dumps({"entries": entries}))
+        result = run(["ball-verify", "--dirs", str(path), "-m", "1", "-d", "3"])
+        assert result.exit_code == 0 and result.payload["report"]["worst_count"] == 1
+
     def test_smooth_construct_self_verifies(self):
         result = run(
             ["smooth-construct", "--body", "ellipse", "-a", "2", "-b", "1",
@@ -394,7 +409,10 @@ class TestGoldenStdout:
     implementations; the ledger before it was evaluated on sample arrays.
     The cap-body file was re-recorded when the prism multiset moved to
     slots on the apex ring's own arcs at a fixed tilt: its directions, and
-    so the check's worst margin, changed by design."""
+    so the check's worst margin, changed by design.  The further ball files
+    (lifts to d = 5 and from the m = 3 fan, their checks, and the d = 5
+    construction) were recorded from the all-integer sphere minimum, before
+    its float filter."""
 
     def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
         from illum.balls import b3_direction_multiset
@@ -413,6 +431,37 @@ class TestGoldenStdout:
         assert main(["ball-verify", "--dirs", str(lifted), "-m", "2", "-d", "4"]) == 0
         stdout = capsys.readouterr().out
         assert stdout == (data / "ball_verify_m2_d4.stdout").read_text()
+
+    def test_ball_lifts_checks_and_construction(self, tmp_path, capsys, monkeypatch):
+        from illum.balls import b3_direction_multiset
+        from illum.cli import main
+        from illum.jsonio import multiset_to_json
+
+        data = Path(__file__).parent / "data"
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        for m in (2, 3):
+            fan = multiset_to_json(b3_direction_multiset(m))
+            (tmp_path / f"b3_m{m}.json").write_text(dump_json(fan) + "\n")
+
+        def dirs(d, m):
+            return str(tmp_path / f"b{d}_m{m}.json")
+
+        steps = [
+            (["ball-lift", "--dirs", dirs(3, 2), "-m", "2", "-d", "3",
+              "--out", dirs(4, 2)], "ball_lift_m2_d3.stdout"),
+            (["ball-lift", "--dirs", dirs(4, 2), "-m", "2", "-d", "4",
+              "--out", dirs(5, 2)], "ball_lift_m2_d4.stdout"),
+            (["ball-verify", "--dirs", dirs(5, 2), "-m", "2", "-d", "5"],
+             "ball_verify_m2_d5.stdout"),
+            (["ball-lift", "--dirs", dirs(3, 3), "-m", "3", "-d", "3",
+              "--out", dirs(4, 3)], "ball_lift_m3_d3.stdout"),
+            (["ball-verify", "--dirs", dirs(4, 3), "-m", "3", "-d", "4"],
+             "ball_verify_m3_d4.stdout"),
+            (["ball-construct", "-m", "2", "-d", "5"], "ball_construct_m2_d5.stdout"),
+        ]
+        for argv, golden in steps:
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out == (data / golden).read_text(), golden
 
     def test_polygon_solve(self, tmp_path, capsys, monkeypatch):
         from illum.cli import main
@@ -480,3 +529,23 @@ class TestLogStreams:
             capture_output=True, env=env,
         )
         assert b"status: ok" in out.stderr
+
+    def test_exact_recomputations_only_under_debug(self, child_env, tmp_path):
+        # the recomputed count reaches stderr under debug only; stdout and
+        # the default stderr keep their bytes
+        from illum.balls import b3_direction_multiset, lift_directions
+
+        dirs = tmp_path / "b4_m2.json"
+        lifted = lift_directions(b3_direction_multiset(2), 2)
+        dirs.write_text(dump_json(multiset_to_json(lifted)) + "\n")
+        cmd = [sys.executable, "-m", "illum.cli", "ball-verify", "--dirs", str(dirs),
+               "-m", "2", "-d", "4"]
+        golden = (Path(__file__).parent / "data" / "ball_verify_m2_d4.stdout").read_bytes()
+        default = subprocess.run(cmd, capture_output=True, env=child_env())
+        assert (default.stdout, default.stderr) == (golden, b"pass at m=2, d=4\n")
+        debug = subprocess.run(cmd, capture_output=True, env=child_env(ILLUM_LOG="debug"))
+        assert debug.stdout == golden
+        lines = debug.stderr.decode().splitlines()
+        assert lines[0] == "pass at m=2, d=4" and lines[-1] == "status: ok"
+        assert len(lines) == 3 and lines[1].startswith("signs recomputed exactly: ")
+        assert int(lines[1].rsplit(" ", 1)[1]) >= 0

@@ -14,6 +14,8 @@ from illum.geometry import (
     DirectionMultiset,
     SampleSet,
     Tolerance,
+    _cofactor_vector,
+    _exact_sphere_minimum,
     _worst_index,
     ellipse_body,
     illuminates_by_direction,
@@ -21,10 +23,16 @@ from illum.geometry import (
     sphere_sample,
     verify_mfold,
 )
-from illum.balls import b3_direction_multiset
+from illum.balls import b3_direction_multiset, lift_directions
 from illum.polygons import polygon_piercing_solution, smooth_2d_directions
 
-from conftest import random_convex_polygon, random_direction_2d, sampled_report
+from conftest import (
+    random_convex_polygon,
+    random_direction_2d,
+    reference_cofactors,
+    reference_sphere_minimum,
+    sampled_report,
+)
 
 SQUARE = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 
@@ -48,6 +56,41 @@ class TestDirection:
     def test_multiset_requires_positive_mults(self):
         with pytest.raises(DomainError):
             DirectionMultiset([(Direction((1, 0)), 0)])
+
+    TETRAHEDRON = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+
+    @pytest.mark.parametrize(
+        "scale", [1e200, 1e-200, 1e-320, 10 ** 400, Fraction(1, 10 ** 400)]
+    )
+    def test_unit_of_huge_and_tiny_coordinates(self, scale):
+        # the plain float norm overflows (1e200), underflows to 0 (1e-200,
+        # 1e-320) or cannot convert (10^400)
+        vecs = [tuple(c * scale for c in v) for v in self.TETRAHEDRON]
+        units = DirectionMultiset.from_vectors(vecs).as_arrays()[0]
+        plain = DirectionMultiset.from_vectors(self.TETRAHEDRON).as_arrays()[0]
+        assert np.abs(units - plain).max() < 1e-15
+        report = verify_mfold(Ball(3), DirectionMultiset.from_vectors(vecs), 1)
+        assert report.passed and report.worst_count == 1
+
+    def test_unit_keeps_its_bits_where_floats_stay_in_range(self):
+        # the power-of-two scaling is exact: the same bits as normalizing the
+        # plain floats, on the inputs of the tests and constructions
+        def plain(coords):
+            v = np.asarray([float(c) for c in coords])
+            return v / np.linalg.norm(v)
+
+        rng = np.random.default_rng(11)
+        vectors = [d.coords for m in (1, 2, 3, 4) for d, _ in b3_direction_multiset(m)]
+        vectors += [d.coords for d, _ in lift_directions(b3_direction_multiset(3), 3)]
+        vectors += TestExactBallVerifier.SAMPLING_MISSES + self.TETRAHEDRON
+        scales = 10.0 ** rng.integers(-60, 60, size=(300, 1))
+        vectors += [tuple(v) for v in (rng.normal(size=(300, 4)) * scales).tolist()]
+        vectors += [
+            tuple(Fraction(int(a), int(b)) for a, b in rng.integers(1, 10 ** 9, size=(3, 2)))
+            for _ in range(100)
+        ]
+        for coords in vectors:
+            assert Direction(coords).unit().tobytes() == plain(coords).tobytes()
 
 
 class TestConvexPolygon:
@@ -543,6 +586,110 @@ class TestExactBallVerifier:
             assert not report.passed and report.worst_count == 0
             units, _ = multiset.as_arrays()
             assert np.abs(units @ np.asarray(report.worst_point)).max() < 1e-12
+
+
+def _lift_chain(m, top):
+    """The unit rows of the 3-ball fan for m and of its lifts up to dimension
+    ``top``, as the verifier reads them."""
+    multiset, chain = b3_direction_multiset(m), []
+    for _ in range(3, top + 1):
+        chain.append(multiset.as_arrays())
+        if len(chain) < top - 2:
+            multiset = lift_directions(multiset, m)
+    return chain
+
+
+def _dyadic(rng, shape):
+    """Floats with 20-bit numerators over 2^20: a difference of two of them
+    is exact, a product of d of them rounds."""
+    return rng.integers(-(2 ** 20), 2 ** 20, size=shape) / 2.0 ** 20
+
+
+def _sphere_cases():
+    """(name, rows, multiplicities, tau) for the exact sphere minimum: random
+    and degenerate sets, and sets whose float cofactors are noise around
+    exact zeros that no construction makes known."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for d in range(2, 7):
+        for k in (d, d + 2, d + 4) if d < 6 else (d, d + 2):
+            units = rng.normal(size=(k, d))
+            units /= np.linalg.norm(units, axis=1)[:, None]
+            cases.append((f"random d={d} k={k}", units, rng.integers(1, 3, size=k)))
+        eye = np.eye(d)
+        cases.append((f"+-e_i d={d}", np.vstack([eye, -eye]), np.ones(2 * d, np.int64)))
+        repeated = np.repeat(rng.normal(size=(3, d)), 2, axis=0)
+        repeated[1::2] *= 3.0  # the same rays at another length: they merge
+        cases.append((f"repeated d={d}", repeated, rng.integers(1, 3, size=6)))
+        if d >= 3:
+            low = np.zeros((d + 3, d))
+            low[:, : d - 2] = rng.normal(size=(d + 3, d - 2))
+            low[-1, -1] = 1.0
+            cases.append((f"low subspace d={d}", low, np.ones(d + 3, np.int64)))
+        # rows u, v and 2u - v: exactly dependent as (u, tau) rows, with
+        # cofactors of the dependent subsets that are nonzero in float
+        u, v = _dyadic(rng, (2, d))
+        noisy = np.vstack([u, v, 2 * u - v, _dyadic(rng, (d, d))])
+        cases.append((f"dependent d={d}", noisy, np.ones(d + 3, np.int64)))
+    for m, top in ((2, 5), (3, 4), (4, 5)):
+        for units, mults in _lift_chain(m, top):
+            cases.append((f"lift m={m} d={units.shape[1]}", units, mults))
+    pinned = DirectionMultiset.from_vectors(TestExactBallVerifier.SAMPLING_MISSES)
+    cases.append(("pinned 11", *pinned.as_arrays()))
+    return [(name, u, w, tau) for name, u, w in cases for tau in (0.0, 1e-6)]
+
+
+class TestExactSphereMinimum:
+    @pytest.mark.parametrize(
+        "name, units, mults, tau", _sphere_cases(), ids=lambda v: v if isinstance(v, str) else ""
+    )
+    def test_matches_the_integer_reference(self, name, units, mults, tau):
+        count, point, evaluated, _ = _exact_sphere_minimum(units, mults, tau)
+        want_count, want_point, want_evaluated = reference_sphere_minimum(units, mults, tau)
+        assert (count, evaluated) == (want_count, want_evaluated)
+        assert point.tobytes() == want_point.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 200])
+    def test_chunks_keep_the_first_least_candidate(self, monkeypatch, chunk):
+        # subsets go through in chunks; a later chunk must not replace an
+        # earlier candidate at the same count
+        import illum.geometry as geometry
+
+        monkeypatch.setattr(geometry, "_SIGN_CHUNK", chunk)
+        for name, units, mults, tau in _sphere_cases():
+            if name in ("+-e_i d=4", "lift m=2 d=5", "lift m=3 d=4", "dependent d=5"):
+                count, point, evaluated, _ = _exact_sphere_minimum(units, mults, tau)
+                want = reference_sphere_minimum(units, mults, tau)
+                assert (count, point.tobytes(), evaluated) == (
+                    want[0], want[1].tobytes(), want[2]
+                ), name
+
+    def test_cases_hit_every_exact_path(self):
+        # the float filter leaves signs open, so the integer fallback runs
+        for name, units, mults, tau in _sphere_cases():
+            if name.startswith(("dependent d=5", "dependent d=6", "lift m=4 d=5")):
+                assert _exact_sphere_minimum(units, mults, tau)[3] > 0, name
+
+    def test_lift_chain_recomputes_few_signs(self):
+        # known zeros (w at infinity, a candidate's own rows) are set, and
+        # candidates that cannot be the first least one are not resolved
+        total = sum(
+            _exact_sphere_minimum(units, mults, 1e-6)[3]
+            for m, top in ((2, 5), (3, 4))
+            for units, mults in _lift_chain(m, top)
+        )
+        assert total <= 30  # 27 here; 34 or 57 with either kind of zero computed
+
+    def test_cofactor_vector_matches_the_minors(self):
+        rng = np.random.default_rng(3)
+        for d in range(1, 7):
+            for _ in range(40):
+                rows = rng.integers(-3, 4, size=(d, d + 1))
+                rows[:, rng.integers(0, d + 1)] *= rng.integers(0, 2)  # zero columns
+                if d > 1 and rng.random() < 0.3:  # rank below d
+                    rows[-1] = rows[0] * int(rng.integers(-2, 3))
+                rows = [tuple(int(c) for c in r) for r in rows]
+                assert _cofactor_vector(rows) == reference_cofactors(rows)
 
 
 class TestExactSmoothVerifier:

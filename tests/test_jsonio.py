@@ -48,9 +48,12 @@ def test_report_json_keys():
 
     multiset = DirectionMultiset.from_vectors([(0.0, -1.0), (0.0, 1.0), (1.0, 0.1)])
     doc = report_to_json(verify_mfold(Ball(2), multiset, 1))
-    assert set(doc) == {
-        "schema", "pass", "m", "worst_point", "worst_count", "worst_margin", "samples",
-    }
+    keys = {"schema", "pass", "m", "worst_point", "worst_count", "worst_margin", "samples"}
+    assert set(doc) == keys
+    # the count of exactly recomputed signs is not part of the report
+    cross = DirectionMultiset.from_vectors([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+    report = verify_mfold(Ball(2), cross, 1)
+    assert report.recomputed > 0 and set(report_to_json(report)) == keys
 
 
 def test_schema_mismatch_rejected():

@@ -53,6 +53,24 @@ def test_trace_installs_and_removes_cleanly(bench):
         assert current is fn
 
 
+def test_parsing_and_dispatch_are_their_own_spans(bench):
+    # the trace names argparse's time and the command handlers' own time
+    # instead of leaving them in cli.run's own
+    from illum import cli
+
+    layers = bench.layers
+    tracer = layers.Tracer()
+    installation = layers.Installation(tracer)
+    try:
+        result = cli.run(["bounds", "-m", "1", "-d", "3"])
+    finally:
+        installation.remove()
+    assert result.status == "ok"
+    assert tracer.calls["cli.run"] == 1 and tracer.calls["cli.parse_args"] == 1
+    assert tracer.edges[("cli.run", "cli.parse_args")] == 1
+    assert tracer.edges[("cli.run", "cli.dispatch")] == 1
+
+
 @pytest.mark.parametrize("workload", ["ball-lift", "polygon-exact", "capbody-ledger"])
 def test_one_pass_meets_every_gate(bench, workload, tmp_path):
     # one seeded pass through the CLI dispatcher, gated as the benchmark
