@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -138,18 +137,19 @@ class SphericalCap:
 
 def validate_cap_body(spec: CapBodySpec) -> bool:
     """Every pair of distinct apexes must connect through the closed ball
-    (tangency counts).  Exact for rational apexes; float apexes get a tiny
-    slack so analytically tangent configurations validate."""
+    (tangency counts).  Exact for pairs of rational apexes; the other pairs
+    are checked in float, all at once, with a tiny slack so analytically
+    tangent configurations validate."""
     apexes = spec.apexes
-    for i in range(len(apexes)):
-        for j in range(i + 1, len(apexes)):
-            dist_sq = _segment_origin_distance_sq(apexes[i], apexes[j])
-            if isinstance(dist_sq, Fraction):
-                if dist_sq > 1:
-                    return False
-            elif dist_sq > 1.0 + 1e-9:
-                return False
-    return True
+    first, second = np.triu_indices(len(apexes), 1)
+    exact = np.asarray([is_exact_coords(a) for a in apexes], dtype=bool)
+    rational = exact[first] & exact[second]
+    pairs = zip(first[rational].tolist(), second[rational].tolist())
+    if any(_segment_origin_distance_sq(apexes[i], apexes[j]) > 1 for i, j in pairs):
+        return False
+    rows = spec.apex_array().reshape(len(apexes), spec.dim)
+    a, b = rows[first[~rational]], rows[second[~rational]]
+    return not len(a) or not (_segment_origin_distance_sq(a, b) > 1.0 + 1e-9).any()
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,9 @@ directions (and apexes), on integer multiples of them.  Their signs come
 from floats with proven running error bounds (``_Bounded``,
 ``_filtered_sign``) wherever a bound decides them; zeros known by
 construction are set without arithmetic, and integer arithmetic decides
-only the signs the bounds leave open.
+only the signs the bounds leave open.  Ball and cap-body checks merge
+rows by ray (``_merged_rows``) and share one sign stage (``_row_signs``):
+cofactor vectors, and circle vertices (x, 1) with a 4 _EPS bound.
 Inequalities are strict throughout: a direction tangent to the body at a
 boundary point does not illuminate it.
 """
@@ -182,6 +184,8 @@ class Direction:
         coords = tuple(coords)
         if len(coords) < 2:
             raise DomainError("directions need dimension >= 2")
+        if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
+            raise DomainError("direction coordinates must be finite")
         if all(c == 0 for c in coords):
             raise DomainError("zero vector is not a direction")
         self.coords = coords
@@ -486,7 +490,8 @@ def _segment_meets_polygon_interior(poly: ConvexPolygon, a, b) -> bool:
 def _segment_origin_distance_sq(a, b):
     """Squared distance from the origin to the closed segment a-b.
 
-    Exact (a ``Fraction``) for rational endpoints, a float otherwise.
+    Exact (a ``Fraction``) for rational endpoints.  Otherwise a float, or
+    one float per row when a and b are (N, d) arrays of rows.
     """
     if is_exact_coords(a) and is_exact_coords(b):
         a, b = frac_vec(a), frac_vec(b)
@@ -498,20 +503,20 @@ def _segment_origin_distance_sq(a, b):
         t = min(max(t, Fraction(0)), Fraction(1))
         closest = tuple(x + t * y for x, y in zip(a, d))
         return dot(closest, closest)
-    av = np.asarray([float(c) for c in a])
-    bv = np.asarray([float(c) for c in b])
+    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     d = bv - av
-    dd = float(d @ d)
-    t = 0.0 if dd == 0 else min(max(-float(av @ d) / dd, 0.0), 1.0)
+    dd = _row_dots(d, d)[..., None]
+    with np.errstate(all="ignore"):  # dd = 0 takes the endpoint a
+        t = -_row_dots(av, d)[..., None] / dd
     # endpoints taken verbatim when the clamp binds: a + t*d cancels badly
     # for far sources, and on-sphere endpoints must stay out of the verdict
-    if t <= 0.0:
-        closest = av
-    elif t >= 1.0:
-        closest = bv
-    else:
-        closest = av + t * d
-    return float(closest @ closest)
+    closest = np.where((dd == 0) | (t <= 0.0), av, np.where(t >= 1.0, bv, av + t * d))
+    return _row_dots(closest, closest)
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> over the last axis, rounded as ``x @ y`` of two vectors."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _segment_meets_ball_interior(a, b) -> bool:
@@ -788,6 +793,38 @@ def _filtered_sign(value: np.ndarray, bound: np.ndarray):
     return sign, ~(np.abs(value) > band)
 
 
+def _row_signs(val: np.ndarray, err: np.ndarray, frows: np.ndarray, own: np.ndarray):
+    """Filtered signs of <h, X> (see ``_filtered_sign``) and the mask of
+    the open ones, for each homogeneous float point X~ (a row of ``val``,
+    within ``err`` of the exact X in each of its D coordinates) and each
+    float row h of ``frows``.  In any summation order <h, X~> is within
+    sum |h_i| e_i + D (_EPS sum |h_i X~_i| + _ETA) of <h, X>; a second
+    D _ETA covers the underflow of the bound's own products.  The rows
+    ``own[s]`` pass through point s by construction: sign 0, not open.
+    Indices past the last row (helper planes) are ignored.  ``einsum``
+    keeps BLAS out: a BLAS product is faster, but its work buffers raise
+    the process's peak memory."""
+    terms, habs = val.shape[1], abs(frows)
+    value = np.einsum("sd,kd->sk", val, frows)
+    bound = np.einsum("sd,kd->sk", err, habs)
+    bound += terms * _EPS * np.einsum("sd,kd->sk", abs(val), habs)
+    sign, open_ = _filtered_sign(value, bound + 2 * terms * _ETA)
+    s, j = np.nonzero(own < len(frows))
+    sign[s, own[s, j]], open_[s, own[s, j]] = 0, False
+    return sign, open_
+
+
+def _merged_rows(frows, weights):
+    """Rows on one ray merged into the first, their weights summed: the
+    primitive integer rows, the float rows (positive multiples of them, so
+    every sign agrees) and the weights."""
+    merged = {}
+    for frow, weight in zip(frows, weights):
+        merged.setdefault(_primitive_ray(frow), [frow, 0])[1] += weight
+    frows, weights = zip(*merged.values())
+    return list(merged), np.asarray(frows), np.asarray(weights)
+
+
 # --------------------------------------------------------------------------
 # exact sphere minimum: bounded float cofactors of all subsets at once
 # --------------------------------------------------------------------------
@@ -883,7 +920,7 @@ def _subset_minimum(rows, frows, weights, subsets, cutoff):
     their multiplicities, 0 for the row at infinity.  The float stage
     bounds the d+1 cofactors c of every subset and decides from them w's
     sign, whether |x|^2 >= w^2 and whether any cofactor is nonzero, and
-    from bounded products the sign of <h, c> for every row h.  Zeros known
+    the sign of <h, c> for every row h (``_row_signs``).  Zeros known
     by construction are set, not computed: w for a subset with the row at
     infinity, and <h, c> for the subset's own rows.
 
@@ -910,23 +947,10 @@ def _subset_minimum(rows, frows, weights, subsets, cutoff):
         [np.where(finite, gap_sign > 0, nonzero), ~finite & nonzero], axis=1
     ) & ~unknown[:, None]
 
-    # <h, c~> is within sum |h_i| e_i + (d+1) (_EPS sum |h_i c~_i| + _ETA)
-    # of <h, c> in any summation order (d+1 products, d additions); the
-    # second _ETA term covers the underflow of the bound's own products.
-    # One matrix-vector product per row h keeps the scratch at (S, k): a
-    # single matrix product or a broadcast costs more memory than it saves
-    # time at these sizes.
-    size = np.abs(c.val)
-    value = np.stack([c.val @ h for h in frows], axis=1)
-    bound = np.stack(
-        [c.err @ h + (d + 1) * _EPS * (size @ h) for h in np.abs(frows)], axis=1
-    )
-    sign, undecided = _filtered_sign(value, bound + 2 * (d + 1) * _ETA)
-    own = np.arange(len(subsets))[:, None], subsets
-    sign[own], undecided[own] = 0, False
+    sign, undecided = _row_signs(c.val, c.err, frows, subsets)
     undecided[:, 0] = False  # the row at infinity weighs 0
-    # weights and counts are float64, exact below 2^53: the counting then
-    # runs on the float kernels the filter loads anyway
+    # counts are float64, exact below 2^53: the counting then runs on the
+    # float kernels the filter loads anyway
     signed = np.stack(
         [np.where(test, weights, 0.0).sum(1) for test in (sign < 0, sign > 0)], axis=1
     )
@@ -1008,15 +1032,10 @@ def _exact_sphere_minimum(
     tau > 0), and the number of signs decided in integers.
     """
     d = units.shape[1]
-    merged = {}
-    for row, mult in zip(units.tolist(), mults.tolist()):
-        # the primitive integer row h ~ (u, tau): <u, x> < -tau iff <h, X> < 0
-        frow = (*row, tau)
-        merged.setdefault(_primitive_ray(frow), [frow, 0])[1] += mult
-    rows = [(0,) * d + (1,), *merged]
-    frows = np.asarray([rows[0], *(f for f, _ in merged.values())], dtype=np.float64)
-    weights = np.asarray([0.0, *(w for _, w in merged.values())])
-    k = len(merged)
+    # the row at infinity, then rows h ~ (u, tau): <u, x> < -tau iff <h, X> < 0
+    homogeneous = [(0.0,) * d + (1.0,), *((*u, tau) for u in units.tolist())]
+    rows, frows, weights = _merged_rows(homogeneous, [0, *mults.tolist()])
+    k = len(rows) - 1
     if tau:
         subsets = combinations(range(k + 1), d)
     else:  # with tau = 0 every vertex is the origin
@@ -1034,10 +1053,7 @@ def _exact_sphere_minimum(
         return 0, np.linalg.svd(units)[2][-1], evaluated, recomputed
     count, orient, subset, point = best
     point = point or _cofactor_vector([rows[i] for i in subset])
-    x = [orient * c for c in point[:-1]]
-    scale = max(abs(c) for c in x)
-    x = np.asarray([c / scale for c in x])
-    return count, x / np.linalg.norm(x), evaluated, recomputed
+    return count, _ray_unit([orient * c for c in point[:-1]]), evaluated, recomputed
 
 
 # --------------------------------------------------------------------------
@@ -1094,103 +1110,28 @@ def _exact_pair(h1, h2):
     return tuple(cc * x for x in x0), c, cc * cc, e
 
 
-class _Arrangement:
-    """Planes <a, x> + b = 0 of R^3, each as a primitive integer row
-    (a1, a2, a3, b) and as a float row of the same plane (a positive
-    multiple), and the points where two of them meet the unit sphere.
-
-    Float vertices carry bounds from ``_Bounded``; every sign the bounds
-    leave open is recomputed exactly from the integer rows, with the
-    pair's exact points cached."""
-
-    def __init__(self, frows, rows):
-        self.frows = np.asarray(frows, dtype=np.float64).reshape(-1, 4)
-        self.rows = [tuple(r) for r in rows]
-        self._exact = {}
-
-    def add(self, frow, row) -> int:
-        """Append a plane; return its index."""
-        self.frows = np.vstack([self.frows, frow])
-        self.rows.append(tuple(row))
-        return len(self.rows) - 1
-
-    def exact_pair(self, i: int, j: int):
-        key = (int(i), int(j))
-        if key not in self._exact:
-            self._exact[key] = _exact_pair(self.rows[key[0]], self.rows[key[1]])
-        return self._exact[key]
-
-    @np.errstate(all="ignore")  # parallel planes give inf and nan: undecided
-    def _frame(self, pairs):
-        """c = a1 x a2, |c|^2, x0 and 1 - |x0|^2 of each pair (see
-        ``_exact_pair``), in float with bounds."""
-        first = _Bounded(self.frows[pairs[:, 0]])
-        second = _Bounded(self.frows[pairs[:, 1]])
-        a1, b1, a2, b2 = first[:, :3], first[:, 3:], second[:, :3], second[:, 3:]
-        c = _cross(a1, a2)
-        cc = (c * c).sum()
-        x0 = -(_cross(a2, c) * b1 + _cross(c, a1) * b2) / cc
-        return c, cc, x0, _Bounded(np.ones_like(cc.val)) - (x0 * x0).sum()
-
-    def meeting(self, pairs: np.ndarray) -> np.ndarray:
-        """Which pairs of planes meet on the sphere, tangencies included:
-        1 - |x0|^2 >= 0, decided in float where the bound allows it and
-        from the exact sign of E elsewhere (parallel planes never meet)."""
-        *_, gap = self._frame(pairs)
-        sign, undecided = _filtered_sign(gap.val[:, 0], gap.err[:, 0])
-        meets = sign > 0
-        for p in np.flatnonzero(undecided):
-            meets[p] = self.exact_pair(*pairs[p]) is not None
-        return meets
-
-    @np.errstate(all="ignore")
-    def vertices(self, pairs: np.ndarray):
-        """Float points x0 +- t c, t = sqrt((1 - |x0|^2) / |c|^2), with
-        per-coordinate bounds, for pairs known to meet; returns the points,
-        the bounds, the defining pair of each point and its sign of t."""
-        c, cc, x0, gap = self._frame(pairs)
-        step = c * (gap / cc).sqrt()
-        upper, lower = x0 + step, x0 - step
-        sigma = np.repeat([1, -1], len(pairs))
-        return (
-            np.concatenate([upper.val, lower.val]),
-            np.concatenate([upper.err, lower.err]),
-            np.concatenate([pairs, pairs]),
-            sigma,
-        )
-
-    def exact_sign(self, pair, sigma: int, row) -> int:
-        """Exact sign of <a, x> + b at the vertex of ``pair`` with sign
-        ``sigma``, for the integer row (a, b): the sign of
-        <a, P> + b D + sigma sqrt(E) <a, Q>."""
-        p, q, d, e = self.exact_pair(*pair)
-        a, b = row[:3], row[3]
-        return _sign_with_root(dot(a, p) + b * d, int(sigma) * dot(a, q), e)
+def _pair_points(exact: dict, rows, i: int, j: int):
+    """``_exact_pair`` of rows i and j, computed once in ``exact``."""
+    if (i, j) not in exact:
+        exact[i, j] = _exact_pair(rows[i], rows[j])
+    return exact[i, j]
 
 
-def _cap_body_planes(
-    units: np.ndarray, mults: np.ndarray, apexes: np.ndarray, tau: float
-):
-    """The planes of a cap-body check, in R^3 (a planar body lies in
-    x3 = 0): first each direction u as (u, tau), since u counts at the
-    normal n when <u, n> + tau < 0, with the multiplicities of equal rows
-    merged; then each apex v as (v, -1), since n lies in the open cap of v
-    when <v, n> - 1 > 0.  Returns the arrangement and the weight of every
-    row, 0 for the apex rows."""
+def _cap_body_planes(units: np.ndarray, mults: np.ndarray, apexes: np.ndarray, tau):
+    """The planes <a, x> + b = 0 of a cap-body check, in R^3 (a planar
+    body lies in x3 = 0): first each direction u as (u, tau), since u
+    counts at the normal n when <u, n> + tau < 0; then each apex v as
+    (v, -1), since n lies in the open cap of v when <v, n> - 1 > 0.
+    Returns the integer rows, float rows and weights (0 for apexes) of
+    ``_merged_rows``; tau >= 0 keeps directions and apexes apart."""
     pad = (0.0,) * (3 - units.shape[1])
-    directions, caps = {}, {}
-    for row, mult in zip(units.tolist(), mults.tolist()):
-        frow = (*row, *pad, tau)
-        directions.setdefault(_primitive_ray(frow), [frow, 0])[1] += mult
-    for v in apexes.tolist():
-        frow = (*v, *pad, -1.0)
-        caps.setdefault(_primitive_ray(frow), [frow, 0])
-    merged = list(directions.items()) + list(caps.items())
-    arrangement = _Arrangement([f for _, (f, _) in merged], [key for key, _ in merged])
-    return arrangement, np.asarray([w for _, (_, w) in merged], dtype=np.int64)
+    planes = [(*u, *pad, tau) for u in units.tolist()]
+    planes += [(*v, *pad, -1.0) for v in apexes.tolist()]
+    return _merged_rows(planes, [*mults.tolist(), *[0] * len(apexes)])
 
 
-def _cap_body_vertices(arrangement: _Arrangement, dim: int):
+@np.errstate(all="ignore")  # parallel planes give inf and nan: undecided
+def _cap_body_vertices(rows, frows: np.ndarray, dim: int, exact: dict):
     """Candidate normals of a cap-body check: the vertices of the
     arrangement of circles where the planes meet the sphere.
 
@@ -1198,87 +1139,97 @@ def _cap_body_vertices(arrangement: _Arrangement, dim: int):
     circle that meets no other, the two points where a plane through its
     axis cuts it; with no circle at all, the poles.  A planar body is the
     equator x3 = 0 of the same arrangement, so its candidates are the
-    points where each line meets that circle (the arc endpoints), or the
-    points (0, +-1, 0) with no line."""
-    rows = arrangement.rows
-    circles = [i for i, h in enumerate(rows) if h[3] * h[3] <= dot(h[:3], h[:3])]
-    if dim == 2:
-        equator = arrangement.add((0.0, 0.0, 1.0, 0.0), (0, 0, 1, 0))
-        pairs = [(i, equator) for i in circles]
-        if not circles:
-            pairs = [(arrangement.add((1.0, 0.0, 0.0, 0.0), (1, 0, 0, 0)), equator)]
-        return arrangement.vertices(np.asarray(pairs, dtype=np.intp))
-    first, second = np.triu_indices(len(circles), 1)
-    pairs = np.asarray(circles, dtype=np.intp)[np.stack([first, second], axis=1)]
-    pairs = pairs[arrangement.meeting(pairs)].reshape(-1, 2)
-    met = set(pairs.ravel().tolist())
-    extra = []
-    for i in circles:
-        if i not in met:
-            # a plane through the origin containing the axis a of circle i:
-            # a x e_k for the axis e_k least aligned with a (exact in float)
-            k = int(np.argmin(np.abs(arrangement.frows[i, :3])))
-            axis = [0, 0, 0]
-            axis[k] = 1
-            frow = (*_cross3(arrangement.frows[i, :3].tolist(), axis), 0.0)
-            row = (*_cross3(rows[i][:3], axis), 0)
-            extra.append((i, arrangement.add(frow, row)))
-    if not circles:
-        extra.append((
-            arrangement.add((1.0, 0.0, 0.0, 0.0), (1, 0, 0, 0)),
-            arrangement.add((0.0, 1.0, 0.0, 0.0), (0, 1, 0, 0)),
-        ))
-    extra = np.asarray(extra, dtype=np.intp).reshape(-1, 2)
-    return arrangement.vertices(np.concatenate([pairs, extra]))
+    points where each line meets that circle, or (0, +-1, 0) with no line.
+
+    Each pair of planes is framed once, in float with bounds: c = a1 x a2,
+    |c|^2, x0 and 1 - |x0|^2 (see ``_exact_pair``).  It meets the sphere
+    when 1 - |x0|^2 >= 0, decided from the bound where it can be and from
+    the exact E elsewhere (a helper pair always meets), in x0 +- t c,
+    t = sqrt((1 - |x0|^2) / |c|^2).  Returns the points, their bounds, the
+    pair of rows and the sign of t of each (all points x0 + t c first), and
+    the rows with the helper planes appended."""
+    k = len(rows)
+    circles = np.flatnonzero([h[3] * h[3] <= dot(h[:3], h[:3]) for h in rows])
+    if dim == 2:  # the equator, and with no line a line through the origin
+        helpers = [(0, 0, 1, 0)] if len(circles) else [(0, 0, 1, 0), (1, 0, 0, 0)]
+        fhelpers, pairs = helpers, [(i, k) for i in circles] or [(k + 1, k)]
+    elif len(circles):
+        # the circle pairs, then each circle with the plane a x e_j through the
+        # origin and its axis a, e_j the axis least aligned with a (exact in float)
+        j = np.argmin(np.abs(frows[circles, :3]), axis=1)
+        fhelpers = np.c_[np.cross(frows[circles, :3], np.eye(3)[j]), 0 * j]
+        eye = np.eye(3, dtype=np.int64).tolist()  # Python ints keep the rows exact
+        helpers = [(*_cross3(rows[i][:3], eye[n]), 0) for i, n in zip(circles, j)]
+        first, second = np.triu_indices(len(circles), 1)
+        pairs = np.r_[np.c_[circles[first], circles[second]],
+                      np.c_[circles, k + np.arange(len(circles))]]
+    else:
+        helpers = fhelpers = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        pairs = [(k, k + 1)]
+    rows = [*rows, *helpers]
+    frows = np.vstack([frows, np.reshape(fhelpers, (-1, 4))])
+    pairs = np.asarray(pairs, dtype=np.intp)
+    first, second = _Bounded(frows[pairs[:, 0]]), _Bounded(frows[pairs[:, 1]])
+    a1, b1, a2, b2 = first[:, :3], first[:, 3:], second[:, :3], second[:, 3:]
+    c = _cross(a1, a2)
+    cc = (c * c).sum()
+    x0 = -(_cross(a2, c) * b1 + _cross(c, a1) * b2) / cc
+    gap = _Bounded(np.ones_like(cc.val)) - (x0 * x0).sum()
+    sign, undecided = _filtered_sign(gap.val[:, 0], gap.err[:, 0])
+    # a helper plane passes through the centre of its circle
+    helper = pairs[:, 1] >= k
+    keep = (sign > 0) | helper
+    for p in np.flatnonzero(undecided & ~helper):
+        keep[p] = _pair_points(exact, rows, *pairs[p].tolist()) is not None
+    # a pair with a helper plane counts only for a circle that meets no other
+    keep[helper] = ~np.isin(pairs[helper, 0], pairs[keep & ~helper])
+    c, cc, x0, gap, pairs = c[keep], cc[keep], x0[keep], gap[keep], pairs[keep]
+    step = c * (gap / cc).sqrt()
+    upper, lower = x0 + step, x0 - step
+    return (
+        np.concatenate([upper.val, lower.val]),
+        np.concatenate([upper.err, lower.err]),
+        np.concatenate([pairs, pairs]),
+        np.repeat([1, -1], len(pairs)),
+    ), rows
 
 
-@np.errstate(all="ignore")
-def _vertex_counts(arrangement: _Arrangement, vertices, weights: np.ndarray):
+@np.errstate(all="ignore")  # unbounded vertices give inf and nan: open
+def _vertex_counts(rows, frows: np.ndarray, weights: np.ndarray, vertices, exact: dict):
     """For every candidate: does it lie in the closed region R (no apex
     plane positive there), and the weighted count of direction planes
-    negative there.  Returns the mask, the counts and the number of signs
-    recomputed exactly.
+    negative there, over the k weighted rows of ``frows`` (``rows`` goes on
+    with helper planes).  Returns them and the count of exact signs.
 
-    All candidate x plane signs come from one float pass per chunk.  The
-    float value of <a, x~> + b at a float point x~ within e_i of x in each
-    coordinate is within sum |a_i| e_i + 3 _EPS (sum |a_i x~_i| + |b|) +
-    8 _ETA of the exact <a, x> + b: three products and three additions,
-    each rounding by at most _EPS / 2 times sum |a_i x~_i| + |b|.  The two planes
-    that define a vertex are 0 there by construction and are set so.  The
-    signs the band leaves open are recomputed exactly, apex planes first
-    and only where no decided apex sign already puts the point outside R,
-    then direction planes only at points inside R."""
+    The signs come from ``_row_signs`` on the points (x~, 1) with bounds
+    (e, 0), a vertex's two planes being its own rows.  Those it leaves
+    open are recomputed exactly, as the sign of <a, P> + b D +-
+    sqrt(E) <a, Q>: apex planes first and only where no decided apex sign
+    already puts the point outside R, then direction planes only inside R."""
     points, errors, pairs, sigma = vertices
     k = len(weights)
     is_apex = weights == 0
-    a, b = arrangement.frows[:k, :3], arrangement.frows[:k, 3]
-    inside = np.zeros(len(points), dtype=bool)
-    counts = np.zeros(len(points), dtype=np.int64)
-    recomputed = 0
+    homogeneous = np.c_[points, np.ones(len(points))]
+    bounds = np.c_[errors, np.zeros(len(points))]
+    inside, counts, recomputed = [], [], 0
     step = max(1, _SIGN_CHUNK // k)
     for lo in range(0, len(points), step):
         hi = min(lo + step, len(points))
-        x = points[lo:hi]
-        value = x @ a.T + b
-        bound = (errors[lo:hi] + 3 * _EPS * np.abs(x)) @ np.abs(a).T
-        sign, open_ = _filtered_sign(value, bound + 3 * _EPS * np.abs(b) + 8 * _ETA)
-        local = np.arange(hi - lo)
-        for column in pairs[lo:hi].T:
-            own = column < k
-            sign[local[own], column[own]] = 0
-            open_[local[own], column[own]] = False
+        sign, open_ = _row_signs(homogeneous[lo:hi], bounds[lo:hi], frows, pairs[lo:hi])
         outside = ((sign > 0) & is_apex).any(axis=1)
         for cols in (is_apex, ~is_apex):
             todo = open_ & cols & ~outside[:, None]
             for r, col in zip(*np.nonzero(todo)):
-                sign[r, col] = arrangement.exact_sign(
-                    pairs[lo + r], sigma[lo + r], arrangement.rows[col]
+                p, q, d, e = _pair_points(exact, rows, *pairs[lo + r].tolist())
+                a, b = rows[col][:3], rows[col][3]
+                sign[r, col] = _sign_with_root(
+                    dot(a, p) + b * d, int(sigma[lo + r]) * dot(a, q), e
                 )
             recomputed += int(todo.sum())
             outside = ((sign > 0) & is_apex).any(axis=1)
-        inside[lo:hi] = ~outside
-        counts[lo:hi] = (sign < 0) @ weights
-    return inside, counts, recomputed
+        inside.append(~outside)
+        counts.append((sign < 0) @ weights)
+    return np.concatenate(inside), np.concatenate(counts), recomputed
 
 
 def _apex_lit_exact(u, v, tau) -> bool:
@@ -1339,9 +1290,10 @@ def _verify_cap_body(spec, multiset: DirectionMultiset, m: int, tau: float):
         )
     units, mults = multiset.as_arrays()
     apexes = spec.apex_array().reshape(-1, dim)
-    arrangement, weights = _cap_body_planes(units, mults, apexes, tau)
-    vertices = _cap_body_vertices(arrangement, dim)
-    inside, counts, recomputed = _vertex_counts(arrangement, vertices, weights)
+    rows, frows, weights = _cap_body_planes(units, mults, apexes, tau)
+    exact = {}  # the exact points of each pair of rows, once per check
+    vertices, rows = _cap_body_vertices(rows, frows, dim, exact)
+    inside, counts, recomputed = _vertex_counts(rows, frows, weights, vertices, exact)
     apex_counts = _apex_counts(apexes, units, mults, tau)
     normals = vertices[0][inside, :dim]
     points = np.concatenate([normals, apexes])

@@ -59,6 +59,13 @@ def scalar_from_json(c):
     return value
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer, not a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def polygon_to_json(poly: ConvexPolygon) -> dict:
     return {
         "schema": SCHEMA,
@@ -93,7 +100,7 @@ def multiset_from_json(doc: dict) -> DirectionMultiset:
         entries = [
             (
                 Direction([scalar_from_json(c) for c in e["dir"]]),
-                int(e.get("mult", 1)),
+                _json_int(e.get("mult", 1), "mult"),
             )
             for e in doc["entries"]
         ]
@@ -127,7 +134,7 @@ def capbody_from_json(doc: dict):
 
     _check_schema(doc, "cap body")
     try:
-        dim = int(doc["dim"])
+        dim = _json_int(doc["dim"], "dim")
         apexes = [tuple(scalar_from_json(c) for c in a) for a in doc["apexes"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed cap body JSON: {exc}") from exc

@@ -11,6 +11,7 @@ from illum import _kernels
 from illum.errors import DomainError
 from illum.geometry import (
     ConvexPolygon,
+    DirectionMultiset,
     _primitive_ray,
     _report,
     _worst_index,
@@ -109,6 +110,20 @@ def sampled_report(samples, multiset, m: int, tau: float = 1e-6):
     return _report(
         m, samples.points[wi].tolist(), counts[wi], margins, mults, len(samples.points)
     )
+
+
+def isolated_circle_cap_body():
+    """A 3-D cap body whose one apex circle meets no direction circle: the
+    apex (0, 0, 1.05) and six directions 30 degrees off the vertical axis,
+    whose circles stay within 30 degrees of the equator.  Returns the apex
+    coordinates and the multiset."""
+    tilt = math.radians(30)
+    vectors = [
+        (math.sin(tilt) * math.cos(a), math.sin(tilt) * math.sin(a), s * math.cos(tilt))
+        for s in (1, -1)
+        for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+    ]
+    return [(0.0, 0.0, 1.05)], DirectionMultiset.from_vectors(vectors)
 
 
 def bareiss_det(rows) -> int:

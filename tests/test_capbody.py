@@ -32,6 +32,8 @@ from illum.geometry import (
     Tolerance,
     _cap_body_planes,
     _cap_body_vertices,
+    _exact_pair,
+    _row_signs,
     _vertex_counts,
     sphere_sample,
     verify_mfold,
@@ -39,7 +41,7 @@ from illum.geometry import (
 from illum.jsonio import capbody_from_json, multiset_from_json
 from illum.polygons import regular_polygon_number
 
-from conftest import sampled_report
+from conftest import isolated_circle_cap_body, sampled_report
 
 SQRT2 = math.sqrt(2)
 
@@ -77,6 +79,26 @@ class TestValidity:
     def test_exact_rational_pair(self):
         assert validate_cap_body(CapBodySpec(2, [(2, 0), (-2, 0)]))
         assert not validate_cap_body(CapBodySpec(2, [(2, 0), (2, 1)]))
+
+    def test_mixed_rational_and_float_apexes(self):
+        # the rational pair is checked exactly, the pairs with a float apex
+        # in float: (2, 0) to (0, 1.5) passes at distance 1.2
+        assert not validate_cap_body(CapBodySpec(2, [(2, 0), (-2, 0), (0.0, 1.5)]))
+        assert validate_cap_body(CapBodySpec(2, [(2, 0), (-2, 0), (0.0, -1.1)]))
+
+    def test_float_rows_match_one_pair_at_a_time(self):
+        from illum.geometry import _segment_origin_distance_sq
+
+        rng = np.random.default_rng(9)
+        for dim in (2, 3):
+            a, b = rng.normal(size=(2, 300, dim)) * 3
+            b[::7] = a[::7]  # degenerate segments
+            b[1::5] = 40 * a[1::5]  # far sources: the clamp binds
+            rows = _segment_origin_distance_sq(a, b)
+            assert rows.tolist() == [
+                float(_segment_origin_distance_sq(tuple(x), tuple(y)))
+                for x, y in zip(a.tolist(), b.tolist())
+            ]
 
     def test_apex_inside_rejected(self):
         with pytest.raises(PreconditionViolation):
@@ -460,39 +482,58 @@ def _sign_with_root_reference(p, q, t):
     return ((p > 0) - (p < 0)) if gap > 0 else ((q > 0) - (q < 0)) if gap < 0 else 0
 
 
-def _exact_counts_reference(arrangement, vertices, weights):
-    """In-region mask and counts of every vertex from rational arithmetic:
-    the vertex of planes (a1, b1), (a2, b2) is x0 + s sqrt(t) c with x0 in
-    the span of a1, a2 solving the 2 x 2 Gram system, c = a1 x a2 and
+def _exact_signs_reference(rows, pair, s, k):
+    """Signs of the first k rows at a vertex from rational arithmetic: the
+    vertex of planes (a1, b1), (a2, b2) is x0 + s sqrt(t) c with x0 in the
+    span of a1, a2 solving the 2 x 2 Gram system, c = a1 x a2 and
     t = (1 - |x0|^2) / |c|^2."""
-    rows = [tuple(Fraction(x) for x in r) for r in arrangement.frows.tolist()]
-    k = len(weights)
-    inside, counts = [], []
-    for (i, j), s in zip(vertices[2].tolist(), vertices[3].tolist()):
-        a1, b1, a2, b2 = rows[i][:3], rows[i][3], rows[j][:3], rows[j][3]
-        g11, g12, g22 = (
-            sum(x * y for x, y in zip(a1, a1)),
-            sum(x * y for x, y in zip(a1, a2)),
-            sum(x * y for x, y in zip(a2, a2)),
+    rows = [tuple(Fraction(x) for x in r) for r in rows]
+    (i, j) = pair
+    a1, b1, a2, b2 = rows[i][:3], rows[i][3], rows[j][:3], rows[j][3]
+    g11, g12, g22 = (
+        sum(x * y for x, y in zip(a1, a1)),
+        sum(x * y for x, y in zip(a1, a2)),
+        sum(x * y for x, y in zip(a2, a2)),
+    )
+    det = g11 * g22 - g12 * g12
+    alpha = (-b1 * g22 + b2 * g12) / det
+    beta = (-b2 * g11 + b1 * g12) / det
+    x0 = [alpha * x + beta * y for x, y in zip(a1, a2)]
+    c = (a1[1] * a2[2] - a1[2] * a2[1], a1[2] * a2[0] - a1[0] * a2[2],
+         a1[0] * a2[1] - a1[1] * a2[0])
+    t = (1 - sum(x * x for x in x0)) / det
+    return [
+        _sign_with_root_reference(
+            sum(x * y for x, y in zip(h[:3], x0)) + h[3],
+            s * sum(x * y for x, y in zip(h[:3], c)),
+            t,
         )
-        det = g11 * g22 - g12 * g12
-        alpha = (-b1 * g22 + b2 * g12) / det
-        beta = (-b2 * g11 + b1 * g12) / det
-        x0 = [alpha * x + beta * y for x, y in zip(a1, a2)]
-        c = (a1[1] * a2[2] - a1[2] * a2[1], a1[2] * a2[0] - a1[0] * a2[2],
-             a1[0] * a2[1] - a1[1] * a2[0])
-        t = (1 - sum(x * x for x in x0)) / det
-        signs = [
-            _sign_with_root_reference(
-                sum(x * y for x, y in zip(h[:3], x0)) + h[3],
-                s * sum(x * y for x, y in zip(h[:3], c)),
-                t,
-            )
-            for h in rows[:k]
-        ]
+        for h in rows[:k]
+    ]
+
+
+def _exact_counts_reference(rows, vertices, weights):
+    """In-region mask and counts of every vertex from rational arithmetic."""
+    inside, counts = [], []
+    for pair, s in zip(vertices[2].tolist(), vertices[3].tolist()):
+        signs = _exact_signs_reference(rows, pair, s, len(weights))
         inside.append(all(g <= 0 for g, w in zip(signs, weights) if w == 0))
         counts.append(sum(int(w) for g, w in zip(signs, weights) if g < 0))
     return inside, counts
+
+
+def _cap_body_check(units, mults, apexes, tau, dim=3):
+    """The stages of the exact cap-body check: the integer rows (helper
+    planes appended), the weights, the vertices, and the in-region mask,
+    counts and recomputed signs of every vertex."""
+    rows, frows, weights = _cap_body_planes(
+        np.asarray(units, dtype=float).reshape(-1, dim), np.asarray(mults),
+        np.asarray(apexes, dtype=float).reshape(-1, dim), tau,
+    )
+    exact = {}
+    vertices, rows = _cap_body_vertices(rows, frows, dim, exact)
+    inside, counts, recomputed = _vertex_counts(rows, frows, weights, vertices, exact)
+    return rows, frows, weights, vertices, inside, counts, recomputed
 
 
 #: rational unit vectors (x, y, z) / q with a coordinate that is a power of
@@ -510,6 +551,23 @@ def _row_through(rng, point, value):
     a = [Fraction(int(rng.integers(-24, 25)), 8) for _ in range(3)]
     a[k] = (value * q - sum(a[i] * p[i] for i in range(3) if i != k)) / p[k]
     return [float(x) for x in a]
+
+
+def _near_degenerate_checks(seed):
+    """``_cap_body_check`` at margin 0 on rows through a common rational
+    point, one apex row and one direction row moved by one ulp, plus a
+    generic row of each kind, for every point of ``RATIONAL_POINTS``."""
+    rng = np.random.default_rng(seed)
+    for point in RATIONAL_POINTS:
+        apexes = [_row_through(rng, point, 1) for _ in range(3)]
+        units = [_row_through(rng, point, 0) for _ in range(3)]
+        for rows in (apexes, units):
+            nudged = list(rows[-1])
+            nudged[0] = float(np.nextafter(nudged[0], np.inf * (-1) ** seed))
+            rows.append(nudged)
+        apexes.append((rng.normal(size=3) * 2).tolist())
+        units.append(rng.normal(size=3).tolist())
+        yield _cap_body_check(units, rng.integers(1, 3, size=len(units)), apexes, 0.0)
 
 
 class TestExactCapBodyVerifier:
@@ -595,9 +653,7 @@ class TestExactCapBodyVerifier:
         )
         spec = CapBodySpec(3, [(2.0, 0.0, 0.0)])
         units, mults = axes.as_arrays()
-        arrangement, weights = _cap_body_planes(units, mults, spec.apex_array(), 0.0)
-        vertices = _cap_body_vertices(arrangement, 3)
-        _, _, recomputed = _vertex_counts(arrangement, vertices, weights)
+        recomputed = _cap_body_check(units, mults, spec.apex_array(), 0.0)[-1]
         report = verify_mfold(spec, axes, 1, Tolerance(margin=0.0))
         assert report.recomputed == recomputed > 0
 
@@ -617,46 +673,100 @@ class TestExactCapBodyVerifier:
         inside_cone = CapBodySpec(3, [(1.0, 0.0, 1.0 - 2.0 ** -52)])
         assert verify_mfold(inside_cone, axes, 1, Tolerance(margin=0.0)).passed
 
+    def test_isolated_circle_is_cut_by_a_plane_through_its_axis(self):
+        # the apex circle meets no direction circle: its candidates are the
+        # two points where one helper plane through its axis cuts it
+        apexes, multiset = isolated_circle_cap_body()
+        units, mults = multiset.as_arrays()
+        rows, _, weights, vertices, inside, *_ = _cap_body_check(units, mults, apexes, 1e-6)
+        points, _, pairs, _ = vertices
+        helper = pairs[:, 1] >= len(weights)
+        assert helper.sum() == 2 and (pairs[helper, 0] == len(weights) - 1).all()
+        plane = rows[pairs[helper][0, 1]]
+        assert plane[3] == 0 and plane[2] == 0  # through the origin and the z axis
+        assert np.allclose(points[helper] @ np.asarray(apexes[0]), 1.0)
+        assert inside[helper].all()
+
+    def test_helper_rows_are_python_ints(self):
+        # exact signs at helper vertices are settled in integer arithmetic:
+        # the axis planes of circles (one with a 1e-300 coordinate), the
+        # 2-D equator, and the planes used when there is no circle
+        _, multiset = isolated_circle_cap_body()
+        units, mults = multiset.as_arrays()
+        axes = np.eye(2), np.ones(2, dtype=np.int64)
+        cases = [  # a margin of 2 leaves no circle
+            (units, mults, [(1e-300, 0.0, 1.05)], 1e-6, 3),
+            (units, mults, [], 2.0, 3),
+            (*axes, [], 1e-6, 2),
+            (*axes, [], 2.0, 2),
+        ]
+        for case in cases:
+            rows, _, weights, *_ = _cap_body_check(*case)
+            helpers = rows[len(weights):]
+            assert helpers and all(
+                isinstance(h, tuple) and all(type(x) is int for x in h) for h in helpers
+            )
+
+    def test_tiny_coordinate_keeps_the_result(self):
+        # a coordinate of 1e-300 gives primitive rows beyond the float range;
+        # the helper planes built from them must stay exact integers
+        apexes, multiset = isolated_circle_cap_body()
+        units = multiset.as_arrays()[0].tolist()
+
+        def outcome(apex, extra):
+            spec = CapBodySpec(3, [apex])
+            report = verify_mfold(spec, DirectionMultiset.from_vectors([extra, *units]), 1)
+            return report.passed, report.worst_count
+
+        for apex, extra in [((1e-300, 0.0, 1.05), (0.0, 0.6, 0.8)),
+                            ((0.0, 0.0, 1.05), (1e-300, 0.6, 0.8))]:
+            assert outcome(apex, extra) == outcome((0.0, 0.0, 1.05), (0.0, 0.6, 0.8))
+
     def test_tangent_caps_meet_in_a_vertex(self):
         # the planes x + y = 1 and x - y = 1 touch the sphere at (1, 0, 0)
-        arrangement, _ = _cap_body_planes(
+        points = _cap_body_check(
             np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
             np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]), 1e-6,
-        )
-        points = _cap_body_vertices(arrangement, 3)[0]
+        )[3][0]
         assert np.abs(points - [1.0, 0.0, 0.0]).max(axis=1).min() < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_filtered_signs_match_rational_signs(self, seed):
-        # rows through a common rational point, some moved by one ulp, plus
-        # generic rows: the float filter must hand every close call to the
-        # exact test and decide the rest correctly
-        rng = np.random.default_rng(seed)
+        # the float filter must hand every close call to the exact test and
+        # decide the rest correctly
         recomputed = 0
-        for point in RATIONAL_POINTS:
-            apexes = [_row_through(rng, point, 1) for _ in range(3)]
-            units = [_row_through(rng, point, 0) for _ in range(3)]
-            for rows in (apexes, units):
-                nudged = list(rows[-1])
-                nudged[0] = float(np.nextafter(nudged[0], np.inf * (-1) ** seed))
-                rows.append(nudged)
-            apexes.append((rng.normal(size=3) * 2).tolist())
-            units.append(rng.normal(size=3).tolist())
-            arrangement, weights = _cap_body_planes(
-                np.array(units), rng.integers(1, 3, size=len(units)),
-                np.array(apexes), 0.0,
-            )
-            vertices = _cap_body_vertices(arrangement, 3)
-            inside, counts, fallbacks = _vertex_counts(arrangement, vertices, weights)
-            want_inside, want_counts = _exact_counts_reference(
-                arrangement, vertices, weights
-            )
+        for rows, _, weights, vertices, inside, counts, fallbacks in _near_degenerate_checks(
+            seed
+        ):
+            want_inside, want_counts = _exact_counts_reference(rows, vertices, weights)
             assert inside.tolist() == want_inside
             assert counts[inside].tolist() == [
                 c for c, keep in zip(want_counts, want_inside) if keep
             ]
             recomputed += fallbacks
         assert recomputed > 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_row_signs_match_rational_signs_at_vertices(self, seed):
+        # the shared sign stage on the points (x, 1) with bounds (e, 0):
+        # every sign it decides is the rational sign, the two rows of a
+        # vertex are 0, and the close calls stay open
+        opened = 0
+        for rows, frows, weights, vertices, *_ in _near_degenerate_checks(seed):
+            points, errors, pairs, sigma = vertices
+            ones = np.ones((len(points), 1))
+            with np.errstate(all="ignore"):  # bounds near a tangency may be inf
+                sign, open_ = _row_signs(
+                    np.hstack([points, ones]), np.hstack([errors, 0 * ones]), frows, pairs
+                )
+            for s, (pair, sig) in enumerate(zip(pairs.tolist(), sigma.tolist())):
+                exact = np.asarray(_exact_signs_reference(rows, pair, sig, len(weights)))
+                own = [i for i in pair if i < len(weights)]
+                assert (sign[s, own] == 0).all() and not open_[s, own].any()
+                decided = ~open_[s]
+                assert (sign[s, decided] == exact[decided]).all()
+            opened += int(open_.sum())
+        assert opened > 0
 
     def test_generic_signs_need_no_exact_recomputation(self):
         # the two planes that define a vertex are 0 there by construction;
@@ -666,11 +776,9 @@ class TestExactCapBodyVerifier:
             units = rng.normal(size=(int(rng.integers(3, 9)), 3))
             units /= np.linalg.norm(units, axis=1)[:, None]
             apexes = _random_apexes(rng, int(rng.integers(1, 4))).apex_array()
-            arrangement, weights = _cap_body_planes(
+            *_, inside, _, recomputed = _cap_body_check(
                 units, np.ones(len(units), dtype=np.int64), apexes, 1e-6
             )
-            vertices = _cap_body_vertices(arrangement, 3)
-            inside, _, recomputed = _vertex_counts(arrangement, vertices, weights)
             assert inside.any() and recomputed == 0
 
     def test_vertex_bounds_hold_near_tangency(self):
@@ -684,14 +792,14 @@ class TestExactCapBodyVerifier:
         rng = np.random.default_rng(5)
         for _ in range(60):
             s, t = rng.uniform(-1, 1, size=2) * 10.0 ** -rng.uniform(1, 9)
-            arrangement, _ = _cap_body_planes(
+            rows, _, _, vertices, *_ = _cap_body_check(
                 np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
                 np.array([[1.0, 1.0, s], [1.0, -1.0, t]]), 0.0,
             )
-            points, errors, pairs, sigma = _cap_body_vertices(arrangement, 3)
+            points, errors, pairs, sigma = vertices
             assert errors.max() > 1e-12 or abs(s + t) > 1e-4
             for x, e, (i, j), sign in zip(points, errors, pairs.tolist(), sigma.tolist()):
-                p, q, d, root = arrangement.exact_pair(i, j)
+                p, q, d, root = _exact_pair(rows[i], rows[j])
                 for c in range(3):
                     value = (
                         Decimal(p[c]) + sign * Decimal(root).sqrt() * Decimal(q[c])

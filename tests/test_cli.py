@@ -10,7 +10,7 @@ from illum.geometry import ConvexPolygon, unit_circle_body
 from illum.jsonio import dump_json, multiset_to_json, polygon_to_json
 from illum.polygons import smooth_2d_directions
 
-from conftest import limit_denominator_polygon
+from conftest import isolated_circle_cap_body, limit_denominator_polygon
 
 
 @pytest.fixture
@@ -309,6 +309,34 @@ class TestErrors:
         result = run([str(path) if a == "{path}" else a for a in argv])
         assert result.status == "error" and result.exit_code == 2
 
+    def test_overflowing_ellipse_axis_exits_2(self):
+        # a finite semi-axis whose support function overflows gives NaN
+        # tangent-window directions, which no direction may hold
+        result = run(["smooth-construct", "--body", "ellipse", "-a", "1e308",
+                      "-b", "1", "-m", "1"])
+        assert result.status == "error" and result.exit_code == 2
+        assert "finite" in result.payload["error"]
+
+    @pytest.mark.parametrize("mult", ["1.5", "true", '"2"'])
+    def test_non_integer_multiplicity_exits_2(self, tmp_path, mult):
+        path = tmp_path / "dirs.json"
+        path.write_text(
+            '{"entries": [{"dir": [1, 0, 0], "mult": %s}, {"dir": [-1, 0, 0]}]}' % mult
+        )
+        result = run(["ball-verify", "--dirs", str(path), "-m", "1", "-d", "3"])
+        assert result.status == "error" and result.exit_code == 2
+        assert "mult" in result.payload["error"]
+
+    @pytest.mark.parametrize("dim", ["3.7", "true", '"2"'])
+    def test_non_integer_capbody_dimension_exits_2(self, tmp_path, dim):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"dim": %s, "apexes": [[2, 0, 0]]}' % dim)
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text('{"entries": [{"dir": [-1, 0, 0]}]}')
+        result = run(["capbody-verify", "--spec", str(spec), "--dirs", str(dirs), "-m", "1"])
+        assert result.status == "error" and result.exit_code == 2
+        assert "dim" in result.payload["error"]
+
     @pytest.mark.parametrize("margin", ["nan", "inf"])
     def test_non_finite_margin_exits_2(self, tmp_path, margin):
         path = tmp_path / "dirs.json"
@@ -412,7 +440,9 @@ class TestGoldenStdout:
     so the check's worst margin, changed by design.  The further ball files
     (lifts to d = 5 and from the m = 3 fan, their checks, and the d = 5
     construction) were recorded from the all-integer sphere minimum, before
-    its float filter."""
+    its float filter.  The cap-body files of the planar, isolated-circle and
+    margin-0 prism paths were recorded before the ball and cap-body checks
+    shared one sign stage."""
 
     def test_ball_lift_then_verify(self, tmp_path, capsys, monkeypatch):
         from illum.balls import b3_direction_multiset
@@ -500,6 +530,38 @@ class TestGoldenStdout:
                      "-m", "2"]) == 0
         stdout = capsys.readouterr().out
         assert stdout == (data / "capbody_verify_n5_tb_m2.stdout").read_text()
+
+    def test_capbody_verify_paths(self, tmp_path, capsys, monkeypatch):
+        # a planar single-spike disk (the equator of the arrangement), an
+        # apex circle that meets no other (a plane through its axis) and a
+        # prism at margin 0, whose ring caps touch
+        from illum.capbody import CapBodySpec, b2_single_spike_directions
+        from illum.cli import main
+        from illum.jsonio import capbody_to_json
+
+        data = Path(__file__).parent / "data"
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        apexes, polar = isolated_circle_cap_body()
+        cases = [
+            (CapBodySpec(2, [(2.0, 0.5)]), b2_single_spike_directions((2.0, 0.5), 2),
+             ["-m", "2"], "capbody_verify_disk_m2.stdout"),
+            (CapBodySpec(3, apexes), polar, ["-m", "1"], "capbody_verify_polar_m1.stdout"),
+        ]
+        for k, (spec, multiset, args, golden) in enumerate(cases):
+            (tmp_path / f"spec{k}.json").write_text(dump_json(capbody_to_json(spec)))
+            (tmp_path / f"dirs{k}.json").write_text(dump_json(multiset_to_json(multiset)))
+            assert main(["capbody-verify", "--spec", str(tmp_path / f"spec{k}.json"),
+                         "--dirs", str(tmp_path / f"dirs{k}.json"), *args]) == 0
+            assert capsys.readouterr().out == (data / golden).read_text(), golden
+        dirs = tmp_path / "prism.json"
+        assert main(["capbody-construct", "--n", "6", "-m", "2", "--top-bottom",
+                     "--margin", "0", "--out", str(dirs)]) == 0
+        spec = tmp_path / "prism_spec.json"
+        spec.write_text(dump_json(json.loads(capsys.readouterr().out)["spec"]))
+        assert main(["capbody-verify", "--spec", str(spec), "--dirs", str(dirs),
+                     "-m", "2", "--margin", "0"]) == 0
+        golden = data / "capbody_verify_n6_tb_m2_margin0.stdout"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestLogStreams:

@@ -14,8 +14,11 @@ from illum.geometry import (
     DirectionMultiset,
     SampleSet,
     Tolerance,
+    _bounded_cofactors,
     _cofactor_vector,
     _exact_sphere_minimum,
+    _merged_rows,
+    _row_signs,
     _worst_index,
     ellipse_body,
     illuminates_by_direction,
@@ -52,6 +55,13 @@ class TestDirection:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             Direction((0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(DomainError):
+            Direction((bad, 0))
+        with pytest.raises(DomainError):
+            Direction((1.0, bad))
 
     def test_multiset_requires_positive_mults(self):
         with pytest.raises(DomainError):
@@ -679,6 +689,50 @@ class TestExactSphereMinimum:
             for units, mults in _lift_chain(m, top)
         )
         assert total <= 30  # 27 here; 34 or 57 with either kind of zero computed
+
+    def test_row_signs_match_the_integer_signs(self):
+        # on the cofactor vectors of every subset of the lift chains' rows,
+        # and of rows with an exact dependence, each sign the filter decides
+        # is the exact sign of <h, c>, and a subset's own rows are 0
+        from itertools import combinations
+
+        rng = np.random.default_rng(8)
+        u, v = _dyadic(rng, (2, 4))
+        dependent = np.vstack([u, v, 2 * u - v, _dyadic(rng, (3, 4))])
+        cases = [*_lift_chain(2, 5), *_lift_chain(3, 4), (dependent, np.ones(6, np.int64))]
+        opened = 0
+        for units, mults in cases:
+            d = units.shape[1]
+            rows, frows, _ = _merged_rows(
+                [(0.0,) * d + (1.0,), *((*u, 1e-6) for u in units.tolist())],
+                [0, *mults.tolist()],
+            )
+            subsets = np.asarray(list(combinations(range(len(rows)), d)))
+            c = _bounded_cofactors(frows[subsets])
+            sign, open_ = _row_signs(c.val, c.err, frows, subsets)
+            for s, subset in enumerate(subsets.tolist()):
+                point = _cofactor_vector([rows[i] for i in subset])
+                exact = np.sign([sum(x * y for x, y in zip(h, point)) for h in rows])
+                assert (sign[s, subset] == 0).all() and not open_[s, subset].any()
+                decided = ~open_[s]
+                assert (sign[s, decided] == exact[decided]).all(), (d, subset)
+            opened += int(open_.sum())
+        assert opened > 0
+
+    def test_row_signs_ignore_own_rows_past_the_last(self):
+        # indices of helper planes past the weighted rows name no sign
+        rng = np.random.default_rng(4)
+        val, frows = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        err = np.full((5, 4), 1e-12)
+        own = np.asarray([[0, 3], [4, 1], [5, 6], [2, 2], [9, 0]])
+        sign, open_ = _row_signs(val, err, frows, own)
+        want_sign, want_open = _row_signs(val, err, frows, own[:, :0])
+        for s, row in enumerate(own.tolist()):
+            for j in range(3):
+                if j in row:
+                    assert (sign[s, j], open_[s, j]) == (0, False)
+                else:
+                    assert (sign[s, j], open_[s, j]) == (want_sign[s, j], want_open[s, j])
 
     def test_cofactor_vector_matches_the_minors(self):
         rng = np.random.default_rng(3)

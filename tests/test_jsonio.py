@@ -56,6 +56,19 @@ def test_report_json_keys():
     assert report.recomputed > 0 and set(report_to_json(report)) == keys
 
 
+@pytest.mark.parametrize("mult", [1.5, True, "2"])
+def test_multiplicity_must_be_a_json_integer(mult):
+    doc = {"entries": [{"dir": [1.0, 0.0], "mult": mult}]}
+    with pytest.raises(DomainError, match="mult"):
+        multiset_from_json(doc)
+
+
+@pytest.mark.parametrize("dim", [3.7, True, "2"])
+def test_capbody_dimension_must_be_a_json_integer(dim):
+    with pytest.raises(DomainError, match="dim"):
+        capbody_from_json({"dim": dim, "apexes": [[2.0, 0.0]]})
+
+
 def test_schema_mismatch_rejected():
     with pytest.raises(DomainError):
         polygon_from_json({"schema": "v2", "vertices": []})
