@@ -61,8 +61,14 @@ class CapBodySpec:
         for a in apexes:
             if len(a) != dim:
                 raise DomainError("apex dimension mismatch")
-            if sum(float(c) ** 2 for c in a) <= 1.0:
-                raise PreconditionViolation("apexes must be strictly outside the ball")
+            norm_sq = sum(float(c) ** 2 for c in a)
+            # NaN fails both comparisons and inf the second, but so does a
+            # finite apex whose squares overflow, so only the coordinates decide
+            if not 1.0 < norm_sq < math.inf:
+                if not all(map(math.isfinite, a)):
+                    raise DomainError("apex coordinates must be finite")
+                if norm_sq <= 1.0:
+                    raise PreconditionViolation("apexes must be strictly outside the ball")
         self.dim = dim
         self.apexes = apexes
 
@@ -149,7 +155,7 @@ def validate_cap_body(spec: CapBodySpec) -> bool:
         return False
     rows = spec.apex_array().reshape(len(apexes), spec.dim)
     a, b = rows[first[~rational]], rows[second[~rational]]
-    return not len(a) or not (_segment_origin_distance_sq(a, b) > 1.0 + 1e-9).any()
+    return not (_segment_origin_distance_sq(a, b) > 1.0 + 1e-9).any()
 
 
 # --------------------------------------------------------------------------

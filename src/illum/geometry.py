@@ -295,24 +295,27 @@ class ConvexPolygon:
             raise DomainError("polygon vertices need exactly two coordinates")
         if len(verts) < 3:
             raise DomainError("polygon needs at least 3 vertices")
-        if len(set(verts)) != len(verts):
-            raise DomainError("repeated vertex")
         n = len(verts)
         edges = tuple(
             (verts[(i + 1) % n][0] - verts[i][0], verts[(i + 1) % n][1] - verts[i][1])
             for i in range(n)
         )
-        rays = tuple(_primitive_ray(e) for e in edges)
-        for i in range(n):
-            if cross2(rays[i - 1], rays[i]) <= 0:
-                raise DomainError(
-                    "polygon must be strictly convex with CCW vertex order"
-                )
-        # all turns positive still admits multiple windings; a simple convex
-        # cycle descends through angle zero exactly once
-        descents = sum(1 for i in range(n) if angle_cmp(rays[i - 1], rays[i]) > 0)
-        if descents != 1:
-            raise DomainError("vertex cycle winds more than once")
+        try:
+            rays = tuple(_primitive_ray(e) for e in edges)  # a zero edge raises
+            if not all(cross2(rays[i - 1], rays[i]) > 0 for i in range(n)):
+                raise DomainError("polygon must be strictly convex with CCW vertex order")
+            # all turns positive still admits multiple windings; a simple
+            # convex cycle descends through angle zero exactly once
+            descents = sum(1 for i in range(n) if angle_cmp(rays[i - 1], rays[i]) > 0)
+            if descents != 1:
+                raise DomainError("vertex cycle winds more than once")
+        except DomainError:
+            # a repeated vertex always fails above (an adjacent one as a zero
+            # edge; a strictly convex cycle winding once has no other), so
+            # the set is built only here, where it still takes precedence
+            if len(set(verts)) != n:
+                raise DomainError("repeated vertex") from None
+            raise
         self.vertices = verts
         self.edges = edges
         self.rays = rays
@@ -392,8 +395,11 @@ def unit_circle_body() -> SupportFunctionBody:
 
 def ellipse_body(a: float, b: float) -> SupportFunctionBody:
     """Axis-aligned ellipse with semi-axes (a, b)."""
+    a, b = float(a), float(b)  # numpy scalars would warn as a * a overflows
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise DomainError("semi-axes must be positive and finite")
+    if not math.isfinite(a * a + b * b):
+        raise DomainError("semi-axes too large: a^2 + b^2 must be finite")
 
     def h(t):
         t = np.asarray(t, dtype=np.float64)
@@ -491,9 +497,11 @@ def _segment_origin_distance_sq(a, b):
     """Squared distance from the origin to the closed segment a-b.
 
     Exact (a ``Fraction``) for rational endpoints.  Otherwise a float, or
-    one float per row when a and b are (N, d) arrays of rows.
+    one float per row when a and b are (N, d) arrays of rows, N = 0 too.
     """
-    if is_exact_coords(a) and is_exact_coords(b):
+    # rows take the float path even when there are none, which
+    # is_exact_coords would pass vacuously
+    if not isinstance(a, np.ndarray) and is_exact_coords(a) and is_exact_coords(b):
         a, b = frac_vec(a), frac_vec(b)
         d = tuple(y - x for x, y in zip(a, b))
         dd = dot(d, d)

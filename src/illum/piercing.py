@@ -6,7 +6,8 @@ keeps every arc it was in, so an optimal canonical solution always
 exists.  Membership of the slot past start s in the open arc (a, b) is
 the exact half-open test s in [a, b), decided by orientation signs only,
 so every test runs on the primitive integer rays of the endpoints, which
-each ``Arc`` computes once (``Arc.rays``).
+each ``Arc`` computes once (``Arc.rays``); polygon vertex arcs take them
+from their polygon instead.
 
 A total T is infeasible exactly when some chain of k arcs with pairwise
 disjoint slot intervals wraps the circle w times with k*m > w*T (a
@@ -24,7 +25,7 @@ the chain is the optimality certificate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -38,6 +39,7 @@ from .geometry import (
     _primitive_ray,
     _ray_unit,
     angle_sort_key,
+    ccw_rel_lt,
     frac_vec,
     in_halfopen_arc,
     in_open_arc,
@@ -62,6 +64,16 @@ class Arc:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "rays", rays)
+
+    @classmethod
+    def _on_rays(cls, start, end, rays) -> "Arc":
+        """Arc on ``Fraction`` endpoints whose primitive rays (distinct) the
+        caller already holds; nothing is recomputed."""
+        arc = object.__new__(cls)
+        object.__setattr__(arc, "start", start)
+        object.__setattr__(arc, "end", end)
+        object.__setattr__(arc, "rays", rays)
+        return arc
 
     def contains_slot(self, s) -> bool:
         """Does this open arc contain the slot just CCW past direction s (any
@@ -213,24 +225,38 @@ def _feasible(intervals, n, m, total) -> list[int]:
 def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
     """Exact rational direction strictly inside every arc covering the slot.
 
-    Rotates the start vector CCW by the rational rotation of parameter
+    Rotates the start vector s CCW by the rational rotation of parameter
     t = 1/q (angle 2*atan(t) < 2/q), doubling q from 4 until every strict
     membership holds.  The tests run on q^2 times the rotated start ray;
     only the accepted direction is built from the exact start.
 
-    With every integer ray coordinate below 2^b in absolute value, two
-    distinct rays are at least 2^(-2b-1) apart (|cross| >= 1 over a product
-    of norms below 2^(2b+1)), so the rotation succeeds once q >= 2^(2b+2),
-    which 2b doublings reach; the loop allows 2b + 2.
+    Every covering arc holds [s, e) for its end e, so all of them hold the
+    open arc (s, e_j) to the covering end e_j nearest CCW from s: a
+    rotation landing there is accepted at once, one outside arc j is
+    rejected, and only one that passes e_j and re-enters arc j (an arc
+    longer than pi; never a vertex arc) tests every covering arc.  With
+    the integer coordinates of s and e_j below 2^b in absolute value, the
+    two rays are at least 2^(-2b-1) apart (|cross| >= 1 over a product of
+    norms below 2^(2b+1)), so the rotation lands in (s, e_j) once
+    q >= 2^(2b+2), which 2b doublings reach; the loop allows 2b + 2.
     """
     arcs = system.arcs
-    sx, sy = arcs[arc_idx].rays[0]
-    b = max(abs(c).bit_length() for i in covering for v in arcs[i].rays for c in v)
+    s = arcs[arc_idx].rays[0]
+    near = arcs[covering[0]]
+    for i in covering:
+        if ccw_rel_lt(s, arcs[i].rays[1], near.rays[1]):
+            near = arcs[i]
+    end = near.rays[1]
+    sx, sy = s
+    b = max(abs(c).bit_length() for c in (sx, sy, *end))
     q = 4
     for _ in range(2 * b + 3):
         c = q * q - 1
         w = (c * sx - 2 * q * sy, 2 * q * sx + c * sy)
-        if all(arcs[i].contains_direction(w) for i in covering):
+        if near.contains_direction(w) and (
+            in_open_arc(s, end, w)
+            or all(arcs[i].contains_direction(w) for i in covering)
+        ):
             x, y = arcs[arc_idx].start
             t = Fraction(1, q)
             return ((1 - t * t) * x - 2 * t * y, 2 * t * x + (1 - t * t) * y)
@@ -269,14 +295,26 @@ def min_mfold_pierce(system: ArcSystem, m: int) -> PiercingSolution:
 def certificate_lower_bound(system: ArcSystem, certificate: dict, m: int) -> int:
     """Independent re-derivation of the chain certificate's lower bound.
 
-    Every circle point lies in at most ``cover`` chain arcs (coverage is
-    piecewise constant, changing only at arc endpoints, so probing the
-    slots just past every endpoint is exhaustive); each chain arc needs m
-    points, hence any solution has at least ceil(k*m/cover) points.
+    Every circle point lies in at most ``cover`` chain arcs; each chain arc
+    needs m points, hence any solution has at least ceil(k*m/cover) points.
+    Coverage is piecewise constant, changing only at chain arc endpoints,
+    and no point has more than the slot just past it, so one sweep over the
+    sorted endpoints finds the maximum: it starts from the slots just past
+    the first key, counted directly, and applies every later end before
+    the starts at its key (the arcs are open).
     """
     chain = [system.arcs[i] for i in certificate["chain"]]
-    probes = [ray for arc in system.arcs for ray in arc.rays]
-    cover = max(sum(1 for arc in chain if arc.contains_slot(p)) for p in probes)
+    # an end (-1) sorts before a start (+1) at an equal key
+    events = sorted(
+        (angle_sort_key(ray), delta)
+        for arc in chain
+        for ray, delta in zip(arc.rays, (1, -1))
+    )
+    first = events[0][0]
+    running = cover = sum(1 for arc in chain if arc.contains_slot(first.obj))
+    for _, delta in events[bisect_right(events, (first, 1)):]:
+        running += delta
+        cover = max(cover, running)
     if cover == 0:
         raise GeometryInternalError("certificate chain covers nothing")
     return math.ceil(len(chain) * m / cover)

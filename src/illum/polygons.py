@@ -47,13 +47,13 @@ def vertex_arcs(polygon: ConvexPolygon) -> ArcSystem:
 
     The vertex between edges e_{i-1} and e_i is illuminated exactly by the
     open arc from e_i CCW to -e_{i-1} (length pi minus the exterior angle).
+    Its rays are the polygon's own: (rays[i], -rays[i-1]).
     """
-    n = polygon.n
+    edges, rays = polygon.edges, polygon.rays
     arcs = []
-    for i in range(n):
-        e_prev = polygon.edges[(i - 1) % n]
-        e_cur = polygon.edges[i]
-        arcs.append(Arc(start=e_cur, end=(-e_prev[0], -e_prev[1])))
+    for i in range(polygon.n):
+        (ex, ey), (rx, ry) = edges[i - 1], rays[i - 1]
+        arcs.append(Arc._on_rays(edges[i], (-ex, -ey), (rays[i], (-rx, -ry))))
     return ArcSystem(arcs=arcs)
 
 

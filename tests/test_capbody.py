@@ -104,6 +104,26 @@ class TestValidity:
         with pytest.raises(PreconditionViolation):
             CapBodySpec(2, [(Fraction(1, 2), 0)])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_apex_rejected(self, value):
+        # NaN passed the outside-the-ball test and failed later in the
+        # exact verifier with a bare ValueError
+        with pytest.raises(DomainError, match="finite"):
+            CapBodySpec(3, [(2.0, 0.0, 0.0), (0.0, np.float64(value), 0.0)])
+
+    def test_finite_apex_with_overflowing_norm_accepted(self):
+        # each square is finite, their sum is inf: the apex is far outside
+        apex = (1e154, 1e154, 1e154)
+        assert CapBodySpec(3, [apex]).apexes == [apex]
+
+    def test_no_float_pairs_give_no_rows(self):
+        from illum.geometry import _segment_origin_distance_sq
+
+        rows = _segment_origin_distance_sq(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert isinstance(rows, np.ndarray) and rows.shape == (0,)
+        assert rows.dtype == np.float64
+        assert validate_cap_body(CapBodySpec(3, [(2, 0, 0), (-2, 0, 0)]))
+
 
 class TestSpike:
     def test_point_on_axis_segment(self):

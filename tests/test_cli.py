@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -310,12 +311,21 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
 
     def test_overflowing_ellipse_axis_exits_2(self):
-        # a finite semi-axis whose support function overflows gives NaN
-        # tangent-window directions, which no direction may hold
-        result = run(["smooth-construct", "--body", "ellipse", "-a", "1e308",
+        # finite semi-axes whose squares overflow are rejected before the
+        # support function is evaluated, so numpy warns of nothing
+        for axis in ("1e308", "1.4e154"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run(["smooth-construct", "--body", "ellipse", "-a", axis,
+                              "-b", "1", "-m", "1"])
+            assert result.status == "error" and result.exit_code == 2
+            assert "finite" in result.payload["error"]
+            assert [str(w.message) for w in caught] == [], axis
+
+    def test_largest_ellipse_axis_still_solves(self):
+        result = run(["smooth-construct", "--body", "ellipse", "-a", "1.3e154",
                       "-b", "1", "-m", "1"])
-        assert result.status == "error" and result.exit_code == 2
-        assert "finite" in result.payload["error"]
+        assert result.status == "ok" and result.exit_code == 0
 
     @pytest.mark.parametrize("mult", ["1.5", "true", '"2"'])
     def test_non_integer_multiplicity_exits_2(self, tmp_path, mult):
@@ -507,6 +517,26 @@ class TestGoldenStdout:
         for path, m, golden in cases:
             assert main(["polygon-solve", "--polygon", str(path), "-m", m]) == 0
             assert capsys.readouterr().out == (data / golden).read_text()
+
+    def test_polygon_solve_regular_1000(self, tmp_path, capsys, monkeypatch):
+        # sha256 of the stdout bytes, recorded before the vertex arcs took
+        # their rays from the polygon and slots their nearest covering end
+        import hashlib
+
+        from illum.cli import main
+        from illum.polygons import regular_polygon_rational
+
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        path = tmp_path / "regular1000.json"
+        path.write_text(dump_json(polygon_to_json(regular_polygon_rational(1000))))
+        golden = {
+            "3": "8ac3a82ed0d75f28efb083dcac31f4570351f712ac46e0c62a6ce39f4536ac72",
+            "10": "2771556d69e28cbab27384ca35e0dafd47be16366bd3a954221d484bfd8e2f44",
+        }
+        for m, digest in golden.items():
+            assert main(["polygon-solve", "--polygon", str(path), "-m", m]) == 0
+            stdout = capsys.readouterr().out.encode()
+            assert hashlib.sha256(stdout).hexdigest() == digest, m
 
     def test_lemma_suite(self, capsys, monkeypatch):
         from illum.cli import main

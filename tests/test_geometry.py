@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,20 @@ class TestDirection:
             assert Direction(coords).unit().tobytes() == plain(coords).tobytes()
 
 
+def _double_winding():
+    # all turns positive but the edge cycle winds around twice
+    edges = [(5, 0), (-4, 3), (1, -5), (3, 4), (-5, -2)]
+    verts, x, y = [], 0, 0
+    for ex, ey in edges[:-1]:
+        verts.append((x, y))
+        x, y = x + ex, y + ey
+    verts.append((x, y))
+    return verts
+
+
+DOUBLE_WINDING = _double_winding()
+
+
 class TestConvexPolygon:
     def test_rejects_collinear(self):
         with pytest.raises(DomainError):
@@ -117,15 +132,29 @@ class TestConvexPolygon:
             ConvexPolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
     def test_rejects_double_winding(self):
-        # all turns positive but the edge cycle winds around twice
-        edges = [(5, 0), (-4, 3), (1, -5), (3, 4), (-5, -2)]
-        verts, x, y = [], 0, 0
-        for ex, ey in edges[:-1]:
-            verts.append((x, y))
-            x, y = x + ex, y + ey
-        verts.append((x, y))
         with pytest.raises(DomainError):
-            ConvexPolygon(verts)
+            ConvexPolygon(DOUBLE_WINDING)
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([(0, 0), (1, 0), (1, 0), (0, 1)], "repeated vertex"),
+            ([(0, 0), (2, 0), (2, 2), (0, 0)], "repeated vertex"),
+            ([(0, 0), (2, 0), (1, 1), (0, 0), (0, 2), (-1, 1)], "repeated vertex"),
+            ([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)],
+             "polygon must be strictly convex with CCW vertex order"),
+            (DOUBLE_WINDING, "vertex cycle winds more than once"),
+            ([(0, 0), (0, 0)], "polygon needs at least 3 vertices"),
+        ],
+        ids=["adjacent-repeat", "wrap-repeat", "non-adjacent-repeat", "reflex",
+             "double-winding", "two-vertices"],
+    )
+    def test_error_messages(self, vertices, message):
+        # recorded from the constructor that hashed every vertex list first;
+        # it now builds the set only once a check has failed
+        with pytest.raises(DomainError) as err:
+            ConvexPolygon(vertices)
+        assert str(err.value) == message
 
 
 class TestDirectionPredicate:
@@ -747,6 +776,13 @@ class TestExactSphereMinimum:
 
 
 class TestExactSmoothVerifier:
+    @pytest.mark.parametrize("axis", [1e308, np.float64(1e308), np.float64(1.4e154)])
+    def test_overflowing_semi_axes_rejected_without_warning(self, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                ellipse_body(axis, 1.0)
+
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (1.0, 5.0), (0.3, 0.2)])
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_tangent_window_directions_are_tight(self, a, b, m):

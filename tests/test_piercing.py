@@ -6,7 +6,7 @@ import pytest
 
 from illum import piercing
 from illum.errors import DomainError, GeometryInternalError
-from illum.geometry import _primitive_ray, cross2, dot, verify_mfold
+from illum.geometry import _primitive_ray, cross2, dot, in_open_arc, verify_mfold
 from illum.piercing import (
     Arc,
     ArcSystem,
@@ -220,6 +220,27 @@ def reference_concretize(system, arc_idx, covering):
     raise GeometryInternalError("failed to concretize a piercing slot")
 
 
+def reference_certificate_lower_bound(system, certificate, m):
+    """Chain coverage probed just past every arc endpoint of the system."""
+    chain = [system.arcs[i] for i in certificate["chain"]]
+    probes = [ray for arc in system.arcs for ray in arc.rays]
+    cover = max(sum(1 for arc in chain if arc.contains_slot(p)) for p in probes)
+    if cover == 0:
+        raise GeometryInternalError("certificate chain covers nothing")
+    return math.ceil(len(chain) * m / cover)
+
+
+def nearest_covering_end(system, arc_idx, covering):
+    """The covering end ray at the smallest CCW offset from the slot's start,
+    by float angle (the rays here are far apart in float terms)."""
+    s = system.arcs[arc_idx].rays[0]
+
+    def offset(ray):
+        return (math.atan2(cross2(s, ray), dot(s, ray))) % (2 * math.pi)
+
+    return min((system.arcs[i].rays[1] for i in covering), key=offset)
+
+
 def random_rational_direction(rng):
     while True:
         v = tuple(
@@ -381,6 +402,22 @@ class TestConcretizeSlot:
                 assert got == reference_concretize(system, arc_idx, covering)
                 assert all(type(c) is Fraction for c in got)
 
+    def test_edge_cases_reach_the_wrap_fallback(self, edge_cases):
+        # a slot whose first accepted rotation lies past the nearest covering
+        # end, back inside that end's arc: only testing every covering arc
+        # accepts it there
+        wraps = 0
+        for system, order, member in edge_cases:
+            if system.n > 60:
+                continue
+            for k, arc_idx in enumerate(order):
+                covering = [i for i in range(system.n) if member[i][k]]
+                s = system.arcs[arc_idx].rays[0]
+                end = nearest_covering_end(system, arc_idx, covering)
+                w = reference_concretize(system, arc_idx, covering)
+                wraps += not in_open_arc(s, end, w)
+        assert wraps > 0
+
     def test_solution_slots_match_reference(self, edge_cases):
         for system, order, member in edge_cases:
             for m in (1, 3):
@@ -390,3 +427,38 @@ class TestConcretizeSlot:
                     k = order.index(arc_idx)
                     covering = [i for i in range(system.n) if member[i][k]]
                     assert d == reference_concretize(system, arc_idx, covering)
+
+
+class TestCertificateSweep:
+    """The endpoint sweep against the probe-every-endpoint reference, on the
+    solver's chains and on arbitrary chains (repeats and arcs that share
+    endpoints included), where the maximum coverage is rarely 1."""
+
+    def systems(self, edge_cases):
+        rng = np.random.default_rng(99)
+        systems = [system for system, _, _ in edge_cases if system.n <= 60]
+        systems += [random_arc_system(rng, int(rng.integers(1, 14))) for _ in range(60)]
+        systems += [vertex_arcs(random_convex_polygon(rng, int(rng.integers(3, 30))))
+                    for _ in range(40)]
+        systems += [vertex_arcs(regular_polygon_rational(n)) for n in (4, 9, 10, 40)]
+        return rng, systems
+
+    def test_solver_chains_match_reference(self, edge_cases):
+        _, systems = self.systems(edge_cases)
+        for system in systems:
+            for m in (1, 2, 5):
+                certificate = min_mfold_pierce(system, m).certificate
+                assert certificate_lower_bound(system, certificate, m) == (
+                    reference_certificate_lower_bound(system, certificate, m)
+                )
+
+    def test_arbitrary_chains_match_reference(self, edge_cases):
+        rng, systems = self.systems(edge_cases)
+        for system in systems:
+            for _ in range(5):
+                chain = rng.integers(0, system.n, int(rng.integers(1, 2 * system.n + 1)))
+                certificate = {"chain": chain.tolist()}
+                for m in (1, 3):
+                    assert certificate_lower_bound(system, certificate, m) == (
+                        reference_certificate_lower_bound(system, certificate, m)
+                    )

@@ -8,10 +8,12 @@ import pytest
 from illum.errors import DomainError, GeometryInternalError
 from illum.geometry import (
     ConvexPolygon,
+    _primitive_ray,
     ellipse_body,
     unit_circle_body,
     verify_mfold,
 )
+from illum.piercing import Arc
 from illum.polygons import (
     check_consecutive_angle_condition,
     check_grouped_angle_condition,
@@ -80,6 +82,20 @@ class TestVertexArcs:
         rng = np.random.default_rng(5)
         poly = random_convex_polygon(rng, 7)
         assert vertex_arcs(poly).n == 7
+
+    def test_rays_are_those_of_the_endpoints(self):
+        # the arcs reuse the polygon's rays; they must be exactly what an arc
+        # built from its endpoints alone derives
+        rng = np.random.default_rng(17)
+        polygons = [random_convex_polygon(rng, int(rng.integers(3, 40)))
+                    for _ in range(40)]
+        polygons += [regular_polygon_rational(n) for n in (3, 4, 7, 10, 201)]
+        polygons.append(ConvexPolygon([(0, 0), (10**400, 0), (0, 1)]))
+        for poly in polygons:
+            for i, arc in enumerate(vertex_arcs(poly).arcs):
+                e_prev = poly.edges[i - 1]
+                assert arc == Arc(start=poly.edges[i], end=(-e_prev[0], -e_prev[1]))
+                assert arc.rays == (_primitive_ray(arc.start), _primitive_ray(arc.end))
 
 
 class TestAngleConditions:
