@@ -26,6 +26,7 @@ from .geometry import (
     DirectionMultiset,
     SampleSet,
     Tolerance,
+    _column_dots,
     _segment_origin_distance_sq,
     dot,
     frac_vec,
@@ -128,16 +129,17 @@ class CapBodySpec:
 
 @dataclass(frozen=True)
 class SphericalCap:
-    """Closed spherical cap: unit center direction, angular radius."""
+    """Closed spherical cap: unit center direction, angular radius.  The
+    caps of N apexes hold an (N, d) array of centers and N radii."""
 
-    center: tuple
-    radius: float
+    center: tuple | np.ndarray
+    radius: float | np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.radius < math.pi / 2:
+        if not np.all((0 <= self.radius) & (self.radius < math.pi / 2)):
             raise DomainError("cap radius must lie in [0, pi/2)")
-        norm = math.sqrt(sum(float(c) ** 2 for c in self.center))
-        if abs(norm - 1.0) > 1e-9:
+        center = np.asarray(self.center, dtype=float)
+        if np.any(np.abs(np.sqrt(_column_dots(center, center)) - 1.0) > 1e-9):
             raise DomainError("cap center must be a unit vector")
 
 
@@ -187,12 +189,12 @@ def _point_in_spike(v, p):
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
     w = v - p
-    axial = (w * v).sum(axis=-1)
+    axial = _column_dots(w, v)
     inside = (
-        ((p * p).sum(axis=-1) > 1.0)
-        & ((p * v).sum(axis=-1) >= 1.0)
+        (_column_dots(p, p) > 1.0)
+        & (_column_dots(p, v) >= 1.0)
         & (axial >= 0)
-        & (axial * axial >= (w * w).sum(axis=-1) * ((v * v).sum(axis=-1) - 1.0))
+        & (axial * axial >= _column_dots(w, w) * (_column_dots(v, v) - 1.0))
     )
     return _rows_or_bool(inside)
 
@@ -204,7 +206,7 @@ def _point_in_spiky_hull(v, p):
             return True
         return _point_in_spike(v, p)
     p = np.asarray(p, dtype=float)
-    return _rows_or_bool(((p * p).sum(axis=-1) <= 1.0) | _point_in_spike(v, p))
+    return _rows_or_bool((_column_dots(p, p) <= 1.0) | _point_in_spike(v, p))
 
 
 def _point_in_cone_interior(v, p):
@@ -215,11 +217,11 @@ def _point_in_cone_interior(v, p):
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
     w = v - p
-    axial = (w * v).sum(axis=-1)
+    axial = _column_dots(w, v)
     inside = (
-        ((p * v).sum(axis=-1) >= 1.0)
+        (_column_dots(p, v) >= 1.0)
         & (axial > 0)
-        & (axial * axial > (w * w).sum(axis=-1) * ((v * v).sum(axis=-1) - 1.0))
+        & (axial * axial > _column_dots(w, w) * (_column_dots(v, v) - 1.0))
     )
     return _rows_or_bool(inside)
 
@@ -235,29 +237,38 @@ def in_spike(spec: CapBodySpec, p) -> bool:
     return _point_in_spike(_require_single_apex(spec), p)
 
 
-def in_open_cap(spec: CapBodySpec, p) -> bool:
-    """Is the boundary point p inside the open cap lit by the apex?
-
-    For the ball base this is the strict support-plane test <p, v> > 1.
-    p must lie within 1e-6 of the unit sphere.
-    """
-    v = _require_single_apex(spec)
-    norm = math.sqrt(sum(float(c) ** 2 for c in p))
-    if abs(norm - 1.0) > 1e-6:
+def _point_in_open_cap(v, p):
+    """p, within 1e-6 of the unit sphere, in the open cap lit by apex v: for
+    the ball base the strict support-plane test <p, v> > 1.  Exact when
+    both are rational; float rows as in ``_point_in_spike``."""
+    pf = np.asarray(p, dtype=float)
+    if np.any(np.abs(np.sqrt(_column_dots(pf, pf)) - 1.0) > 1e-6):
         raise PreconditionViolation("point is not on the unit sphere")
     if is_exact_coords(v) and is_exact_coords(p):
         return dot(frac_vec(p), frac_vec(v)) > 1
-    return dot(tuple(float(c) for c in p), tuple(float(c) for c in v)) > 1.0
+    return _rows_or_bool(_column_dots(pf, np.asarray(v, dtype=float)) > 1.0)
+
+
+def in_open_cap(spec: CapBodySpec, p) -> bool:
+    """Is the boundary point p, within 1e-6 of the unit sphere, inside the
+    open cap lit by the apex?"""
+    return _point_in_open_cap(_require_single_apex(spec), p)
 
 
 def closed_cap_of_ball(v) -> SphericalCap:
     """Closed cap of the ball seen from apex v: center v/|v|, radius
-    arccos(1/|v|)."""
-    r = math.sqrt(sum(float(c) ** 2 for c in v))
-    if r <= 1.0:
+    arccos(1/|v|).  v may be an (N, d) array of rows; the cap then holds
+    one center and one radius per row."""
+    v = np.asarray(v, dtype=float)
+    r = np.sqrt(_column_dots(v, v))
+    if np.any(r <= 1.0):
         raise DomainError("apex must be strictly outside the ball")
-    center = tuple(float(c) / r for c in v)
-    return SphericalCap(center=center, radius=math.acos(1.0 / r))
+    # libm's acos row by row: numpy's arccos rounds by CPU, and radii print in full
+    radius = np.reshape(list(map(math.acos, np.ravel(1.0 / r).tolist())), r.shape)
+    center = v / r[..., None]
+    if v.ndim == 1:
+        return SphericalCap(center=tuple(center.tolist()), radius=float(radius))
+    return SphericalCap(center=center, radius=radius)
 
 
 def apex_illuminates(v, u):
@@ -268,12 +279,12 @@ def apex_illuminates(v, u):
     bool per row."""
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    r = np.linalg.norm(v, axis=-1)
+    r = np.sqrt(_column_dots(v, v))
     if np.any(r <= 1.0):
         raise DomainError("apex must be strictly outside the ball")
     cos_beta = np.sqrt(r * r - 1.0) / r
-    toward = -(u * v).sum(axis=-1) / r
-    return _rows_or_bool(toward / np.linalg.norm(u, axis=-1) > cos_beta)
+    toward = -_column_dots(u, v) / r
+    return _rows_or_bool(toward / np.sqrt(_column_dots(u, u)) > cos_beta)
 
 
 def incompatible_apexes(v, v_prime) -> bool:

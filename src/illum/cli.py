@@ -290,10 +290,8 @@ def _cmd_capbody_verify(args) -> CommandResult:
 def _cmd_capbody_validate(args) -> CommandResult:
     spec = jsonio.capbody_from_json(jsonio.read_json(args.spec))
     valid = capbody.validate_cap_body(spec)
-    radii = [
-        jsonio.format_angle(capbody.closed_cap_of_ball(a).radius)
-        for a in spec.apexes
-    ]
+    caps = capbody.closed_cap_of_ball(spec.apex_array().reshape(-1, spec.dim))
+    radii = [jsonio.format_angle(r) for r in caps.radius.tolist()]
     return CommandResult(
         "ok" if valid else "fail",
         {

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache, cmp_to_key, lru_cache
 from itertools import combinations, islice
 from typing import Callable, Sequence
 
@@ -525,6 +525,17 @@ def _segment_origin_distance_sq(a, b):
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x, y> over the last axis, rounded as ``x @ y`` of two vectors."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _column_dots(x, y) -> np.ndarray:
+    """<x, y> over the last axis, one column at a time: rounded exactly as
+    ``(x * y).sum(axis=-1)``, its root as ``np.linalg.norm(x, axis=-1)``,
+    and much faster on few columns."""
+    prod = np.multiply(x, y)
+    out = prod[..., 0].copy()
+    for j in range(1, prod.shape[-1]):
+        out += prod[..., j]
+    return out
 
 
 def _segment_meets_ball_interior(a, b) -> bool:
@@ -1138,6 +1149,14 @@ def _cap_body_planes(units: np.ndarray, mults: np.ndarray, apexes: np.ndarray, t
     return _merged_rows(planes, [*mults.tolist(), *[0] * len(apexes)])
 
 
+@lru_cache(maxsize=16)
+def _circle_pairs(n: int) -> np.ndarray:
+    """The index pairs (i, j), i < j, of n circles, then each circle i with
+    its helper plane n + i."""
+    first, second = np.triu_indices(n, 1)
+    return np.r_[np.c_[first, second], np.c_[np.arange(n), n + np.arange(n)]]
+
+
 @np.errstate(all="ignore")  # parallel planes give inf and nan: undecided
 def _cap_body_vertices(rows, frows: np.ndarray, dim: int, exact: dict):
     """Candidate normals of a cap-body check: the vertices of the
@@ -1165,12 +1184,12 @@ def _cap_body_vertices(rows, frows: np.ndarray, dim: int, exact: dict):
         # the circle pairs, then each circle with the plane a x e_j through the
         # origin and its axis a, e_j the axis least aligned with a (exact in float)
         j = np.argmin(np.abs(frows[circles, :3]), axis=1)
-        fhelpers = np.c_[np.cross(frows[circles, :3], np.eye(3)[j]), 0 * j]
+        fhelpers = np.zeros((len(circles), 4))
+        fhelpers[:, :3] = _cross(frows[circles, :3], np.eye(3)[j])
         eye = np.eye(3, dtype=np.int64).tolist()  # Python ints keep the rows exact
         helpers = [(*_cross3(rows[i][:3], eye[n]), 0) for i, n in zip(circles, j)]
-        first, second = np.triu_indices(len(circles), 1)
-        pairs = np.r_[np.c_[circles[first], circles[second]],
-                      np.c_[circles, k + np.arange(len(circles))]]
+        ends = np.concatenate([circles, k + np.arange(len(circles))])
+        pairs = ends[_circle_pairs(len(circles))]
     else:
         helpers = fhelpers = [(1, 0, 0, 0), (0, 1, 0, 0)]
         pairs = [(k, k + 1)]
@@ -1190,7 +1209,9 @@ def _cap_body_vertices(rows, frows: np.ndarray, dim: int, exact: dict):
     for p in np.flatnonzero(undecided & ~helper):
         keep[p] = _pair_points(exact, rows, *pairs[p].tolist()) is not None
     # a pair with a helper plane counts only for a circle that meets no other
-    keep[helper] = ~np.isin(pairs[helper, 0], pairs[keep & ~helper])
+    met = np.zeros(len(rows), dtype=bool)
+    met[pairs[keep & ~helper]] = True
+    keep[helper] = ~met[pairs[helper, 0]]
     c, cc, x0, gap, pairs = c[keep], cc[keep], x0[keep], gap[keep], pairs[keep]
     step = c * (gap / cc).sqrt()
     upper, lower = x0 + step, x0 - step
@@ -1241,17 +1262,18 @@ def _vertex_counts(rows, frows: np.ndarray, weights: np.ndarray, vertices, exact
 
 
 def _apex_lit_exact(u, v, tau) -> bool:
-    """-<u, v> - tau |v| > sqrt(|v|^2 - 1) for the rational values of the
-    floats, decided by squaring twice.  With a = -<u, v> and r2 = |v|^2 the
-    left side is positive iff a > 0 and a^2 > tau^2 r2; then the inequality
-    squares to l > 2 a tau sqrt(r2) with l = a^2 + tau^2 r2 - r2 + 1, whose
-    right side is >= 0, so it holds iff l > 0 and l^2 > 4 a^2 tau^2 r2."""
+    """-<u, v> - tau |u| |v| > |u| sqrt(|v|^2 - 1) for the rational values
+    of the floats, decided by squaring twice; u need not be a unit vector.
+    With a = -<u, v>, s = |u|^2 and r2 = |v|^2 the left side is positive
+    iff a > 0 and a^2 > tau^2 s r2; then the inequality squares to
+    l > 2 a tau sqrt(s r2) with l = a^2 + tau^2 s r2 - s r2 + s, whose right
+    side is >= 0, so it holds iff l > 0 and l^2 > 4 a^2 tau^2 s r2."""
     u, v, t = frac_vec(u), frac_vec(v), Fraction(tau)
-    a, r2 = -dot(u, v), dot(v, v)
-    if a <= 0 or a * a <= t * t * r2:
+    a, s, r2 = -dot(u, v), dot(u, u), dot(v, v)
+    if a <= 0 or a * a <= t * t * s * r2:
         return False
-    lhs = a * a + t * t * r2 - r2 + 1
-    return lhs > 0 and lhs * lhs > 4 * a * a * t * t * r2
+    lhs = a * a + t * t * s * r2 - s * r2 + s
+    return lhs > 0 and lhs * lhs > 4 * a * a * t * t * s * r2
 
 
 @np.errstate(all="ignore")
@@ -1259,14 +1281,16 @@ def _apex_counts(
     apexes: np.ndarray, units: np.ndarray, mults: np.ndarray, tau: float
 ):
     """Weighted count per apex v of the directions u lighting it with
-    margin tau: -<u, v/|v|> - cos(beta) > tau with cos(beta) =
-    sqrt(|v|^2 - 1) / |v|, the spike-cone test, i.e. (times |v|)
-    -<u, v> - tau |v| > sqrt(|v|^2 - 1).  Float with bounds, and
-    ``_apex_lit_exact`` where the bound leaves the sign open."""
+    margin tau: -<u/|u|, v/|v|> - cos(beta) > tau with cos(beta) =
+    sqrt(|v|^2 - 1) / |v|, the spike-cone test, i.e. (times |u| |v|)
+    -<u, v> - tau |u| |v| > |u| sqrt(|v|^2 - 1): scaling u, whose exact
+    rational is a unit vector only to a few ulps, moves no verdict.  Float
+    with bounds, and ``_apex_lit_exact`` where the bound leaves it open."""
     v = _Bounded(apexes[:, None, :])
     u = _Bounded(units[None, :, :])
     r2 = (v * v).sum()
-    value = -(u * v).sum() - _Bounded(tau) * r2.sqrt() - (r2 - _Bounded(1.0)).sqrt()
+    reach = _Bounded(tau) * r2.sqrt() + (r2 - _Bounded(1.0)).sqrt()
+    value = -(u * v).sum() - (u * u).sum().sqrt() * reach
     sign, open_ = _filtered_sign(value.val[..., 0], value.err[..., 0])
     lit = sign > 0
     for i, j in zip(*np.nonzero(open_)):

@@ -5,9 +5,10 @@ into a seeded randomized check: hull decomposition, spike and cap
 monotonicity, transfer of apex illumination to caps and spikes, closed-cap
 transfer, sub-cap-body monotonicity of verified multisets, and apex-pair
 incompatibility.  Each entry draws all of its samples as numpy arrays at
-once.  ``apex_illuminates``, the float spike and cone tests and
-``_orthonormal_pair`` run on whole arrays of rows; ``in_open_cap`` and
-``closed_cap_of_ball`` take one apex, so they run once per row.  An entry
+once, and every test it applies runs once on whole arrays of rows:
+``apex_illuminates``, ``closed_cap_of_ball``, the float spike, cone and
+open-cap tests and ``_orthonormal_pair``.  Row sums and norms go through
+``_column_dots``, which rounds as ``(x * y).sum(axis=-1)``.  An entry
 returns the detail of its failure, naming the first offending sample, or
 None when the lemma holds.  The suite is deterministic given the seed.
 """
@@ -22,18 +23,18 @@ from .capbody import (
     CapBodySpec,
     _orthonormal_pair,
     _point_in_cone_interior,
+    _point_in_open_cap,
     _point_in_spike,
     _point_in_spiky_hull,
     apex_illuminates,
     b3_capbody_directions,
     b3_prism_apexes,
     closed_cap_of_ball,
-    in_open_cap,
     incompatible_apexes,
     validate_cap_body,
 )
 from .errors import DomainError
-from .geometry import Ball, verify_mfold
+from .geometry import Ball, _column_dots, verify_mfold
 
 
 @dataclass
@@ -45,8 +46,8 @@ class LemmaResult:
 
 def _unit(rng, n, d):
     """n independent uniform unit vectors of R^d, as rows."""
-    v = rng.normal(size=(n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v = rng.standard_normal((n, d))
+    return v / np.sqrt(_column_dots(v, v))[:, None]
 
 
 def _interior_ball_point(rng, n, d):
@@ -79,25 +80,25 @@ def _random_spike_point(rng, v, beta_min=0.0):
         b = _interior_ball_point(rng, len(todo), v.shape[1])
         beta = rng.uniform(beta_min, 1.0, size=(len(todo), 1))
         s = (1 - beta) * b + beta * v[todo]
-        return s, (s * s).sum(axis=1) > 1.0 + 1e-9
+        return s, _column_dots(s, s) > 1.0 + 1e-9
 
     return _redraw(v, draw)
 
 
 def _random_cap_point(rng, v):
     """One sphere point strictly inside the open cap of each apex row of v."""
-    r = np.linalg.norm(v, axis=1, keepdims=True)
+    r = np.sqrt(_column_dots(v, v))[:, None]
     cap_r = np.arccos(1.0 / r)
     vhat = v / r
 
     def draw(todo):
         ang = rng.uniform(0.0, cap_r[todo] * 0.999)
-        w = rng.normal(size=(len(todo), v.shape[1]))
+        w = rng.standard_normal((len(todo), v.shape[1]))
         axis = vhat[todo]
-        w -= (w * axis).sum(axis=1, keepdims=True) * axis
-        nw = np.linalg.norm(w, axis=1, keepdims=True)
+        w -= _column_dots(w, axis)[:, None] * axis
+        nw = np.sqrt(_column_dots(w, w))[:, None]
         p = np.cos(ang) * axis + np.sin(ang) * (w / np.maximum(nw, 1e-12))
-        return p, (nw[:, 0] >= 1e-12) & ((p * v[todo]).sum(axis=1) > 1.0 + 1e-9)
+        return p, (nw[:, 0] >= 1e-12) & (_column_dots(p, v[todo]) > 1.0 + 1e-9)
 
     return _redraw(v, draw)
 
@@ -132,7 +133,7 @@ def lemma_hull_union_equality(rng):
         arr = spec.apex_array()
         weights = rng.dirichlet(np.ones(len(arr) + 1), size=2_500)
         x = weights[:, :1] * _interior_ball_point(rng, 2_500, d) + weights[:, 1:] @ arr
-        covered = (x * x).sum(axis=1) <= 1.0
+        covered = _column_dots(x, x) <= 1.0
         for v in arr:
             covered |= _point_in_spike(v, x)
         if not covered.all():
@@ -161,12 +162,12 @@ def lemma_cap_interior_identity(rng):
     for d, n in ((3, n3), (2, 1_000 - n3)):
         v = _random_apex(rng, n, d)
         p = _unit(rng, n, d)
-        support = (p * v).sum(axis=1)
+        support = _column_dots(p, v)
         clear = np.abs(support - 1.0) >= 1e-9
         v, p, lit = v[clear], p[clear], support[clear] > 1.0
-        cap = [in_open_cap(CapBodySpec(d, [tuple(a)]), tuple(q)) for a, q in zip(v, p)]
+        cap = _point_in_open_cap(v, p)
         cone = _point_in_cone_interior(v, p)
-        wrong = (np.array(cap, dtype=bool) != lit) | (cone != lit)
+        wrong = (cap != lit) | (cone != lit)
         if wrong.any():
             i = np.flatnonzero(wrong)[0]
             return f"disagreement at {p[i]} apex {v[i]}"
@@ -178,9 +179,9 @@ def lemma_apex_transfer_to_cap(rng):
     illuminates every open-cap point with respect to the ball."""
     v = _random_apex(rng, 1_000, 3)
     u = _interior_ball_point(rng, 1_000, 3) - v
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= np.sqrt(_column_dots(u, u))[:, None]
     p = _random_cap_point(rng, np.repeat(v, 20, axis=0))
-    lit = (np.repeat(u, 20, axis=0) * p).sum(axis=1) < 0
+    lit = _column_dots(np.repeat(u, 20, axis=0), p) < 0
     if not lit.all():
         return f"cap point {p[~lit][0]} not lit"
     return None
@@ -191,14 +192,14 @@ def lemma_closed_cap_transfer(rng):
     24 points of each circle."""
     v = _random_apex(rng, 500, 3)
     u = _interior_ball_point(rng, 500, 3) - v
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = np.linalg.norm(v, axis=1)[:, None, None]
+    u /= np.sqrt(_column_dots(u, u))[:, None]
+    r = np.sqrt(_column_dots(v, v))[:, None, None]
     vhat = v[:, None, :] / r
     b1, b2 = _orthonormal_pair(vhat[:, 0])
     ang = 2 * np.pi * np.arange(24)[:, None] / 24
     ring = np.cos(ang) * b1[:, None, :] + np.sin(ang) * b2[:, None, :]
     p = vhat / r + np.sqrt(1.0 - 1.0 / (r * r)) * ring
-    lit = (p * u[:, None, :]).sum(axis=2) < 0
+    lit = _column_dots(p, u[:, None, :]) < 0
     if not lit.all():
         return f"tangency point {p[~lit][0]} not lit"
     return None
@@ -221,18 +222,15 @@ def lemma_cap_containment(rng):
     (center offset plus radius) and pointwise at 50 sphere points each."""
     v = _random_apex(rng, 400, 3, rmin=1.3)
     v_prime = _random_spike_point(rng, v, beta_min=0.3)
-    outer = [closed_cap_of_ball(a) for a in v]
-    inner = [closed_cap_of_ball(a) for a in v_prime]
-    cos_offset = [np.asarray(a.center) @ b.center for a, b in zip(outer, inner)]
-    offset = np.arccos(np.clip(cos_offset, -1.0, 1.0))
-    radii = np.array([(a.radius, b.radius) for a, b in zip(outer, inner)])
-    exceeds = offset + radii[:, 1] > radii[:, 0] + 1e-9
+    outer, inner = closed_cap_of_ball(v), closed_cap_of_ball(v_prime)
+    offset = np.arccos(np.clip(_column_dots(outer.center, inner.center), -1.0, 1.0))
+    exceeds = offset + inner.radius > outer.radius + 1e-9
     if exceeds.any():
         i = np.flatnonzero(exceeds)[0]
         return f"cap of {v_prime[i]} exceeds cap of {v[i]}"
     p = _unit(rng, 400 * 50, 3).reshape(400, 50, 3)
-    only_inner = ((p * v_prime[:, None]).sum(axis=2) > 1.0) & ~(
-        (p * v[:, None]).sum(axis=2) > 1.0
+    only_inner = (_column_dots(p, v_prime[:, None]) > 1.0) & ~(
+        _column_dots(p, v[:, None]) > 1.0
     )
     if only_inner.any():
         return f"point {p[only_inner][0]} only in the inner cap"
@@ -262,7 +260,7 @@ def lemma_incompatible_pairs(rng):
     top, ring = apexes[-1], apexes[:-1]
     if not all(incompatible_apexes(top, q) for q in ring):
         return "criterion rejected a prism pair"
-    dirs = rng.normal(size=(50_000, 3))
+    dirs = rng.standard_normal((50_000, 3))
     lit_top = apex_illuminates(top, dirs)
     for q in ring[:2]:
         both = lit_top & apex_illuminates(q, dirs)
@@ -276,15 +274,13 @@ def lemma_apex_cap_equivalence(rng):
     illuminating its whole closed cap with respect to the ball."""
     v = _random_apex(rng, 2_000, 3)
     u = _unit(rng, 2_000, 3)
-    caps = [closed_cap_of_ball(a) for a in v]
-    center = np.array([cap.center for cap in caps])
-    radius = np.array([cap.radius for cap in caps])
-    ang = np.arccos(np.clip((u * center).sum(axis=1), -1.0, 1.0))
+    cap = closed_cap_of_ball(v)
+    ang = np.arccos(np.clip(_column_dots(u, cap.center), -1.0, 1.0))
     # max of <u, p> over the closed cap
-    worst = np.cos(np.maximum(ang - radius, 0.0))
-    r = np.linalg.norm(v, axis=1)
+    worst = np.cos(np.maximum(ang - cap.radius, 0.0))
+    r = np.sqrt(_column_dots(v, v))
     slack = np.arcsin(1.0 / r) - np.arccos(
-        np.clip((u * (-v / r[:, None])).sum(axis=1), -1.0, 1.0)
+        np.clip(_column_dots(u, -v / r[:, None]), -1.0, 1.0)
     )
     wrong = (np.abs(slack) >= 1e-6) & (apex_illuminates(v, u) != (worst < 0))
     if wrong.any():

@@ -10,6 +10,7 @@ from illum.capbody import (
     SphericalCap,
     _orthonormal_pair,
     _point_in_cone_interior,
+    _point_in_open_cap,
     _point_in_spike,
     _point_in_spiky_hull,
     _slot_multiplicities,
@@ -30,9 +31,13 @@ from illum.geometry import (
     DirectionMultiset,
     SampleSet,
     Tolerance,
+    _apex_counts,
+    _apex_lit_exact,
     _cap_body_planes,
     _cap_body_vertices,
     _exact_pair,
+    dot,
+    frac_vec,
     _row_signs,
     _vertex_counts,
     sphere_sample,
@@ -283,6 +288,99 @@ class TestClosedCap:
             SphericalCap(center=(1, 0, 0), radius=math.pi / 2)
         with pytest.raises(DomainError):
             SphericalCap(center=(2, 0, 0), radius=0.3)
+
+
+class TestCapRows:
+    """closed_cap_of_ball and the open-cap test on (N, d) rows give row by
+    row the bits and verdicts of the one-apex calls."""
+
+    @staticmethod
+    def rows(d, n=300):
+        rng = np.random.default_rng(40 + d)
+        v = rng.normal(size=(n, d))
+        v *= rng.uniform(1.001, 4.0, size=(n, 1)) / np.linalg.norm(v, axis=1)[:, None]
+        # sphere points near each cap's boundary circle, on both sides
+        vhat = v / np.linalg.norm(v, axis=1)[:, None]
+        p = vhat / np.linalg.norm(v, axis=1)[:, None] + 0.3 * rng.normal(size=(n, d))
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        return v, p
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_cap_rows_match_one_apex(self, d):
+        v, _ = self.rows(d)
+        caps = closed_cap_of_ball(v)
+        assert caps.center.shape == v.shape and caps.radius.shape == (len(v),)
+        for a, center, radius in zip(v.tolist(), caps.center.tolist(), caps.radius):
+            one = closed_cap_of_ball(a)
+            assert (list(one.center), one.radius) == (center, radius)
+            # libm's acos of 1/|v| with |v| summed in column order
+            r = math.sqrt(sum(c * c for c in a))
+            assert (one.center, one.radius) == (tuple(c / r for c in a), math.acos(1 / r))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_open_cap_rows_match_one_apex(self, d):
+        v, p = self.rows(d)
+        got = _point_in_open_cap(v, p)
+        assert got.dtype == bool and got.shape == (len(v),)
+        assert 0 < got.sum() < len(got)
+        one = [in_open_cap(CapBodySpec(d, [tuple(a)]), tuple(q)) for a, q in zip(v, p)]
+        assert got.tolist() == one
+        exact = [dot(frac_vec(q), frac_vec(a)) > 1 for a, q in zip(v, p)]
+        assert got.tolist() == exact
+
+    def test_one_bad_row_raises(self):
+        v, p = self.rows(3)
+        inside = v.copy()
+        inside[7] = (0.5, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            closed_cap_of_ball(inside)
+        off = p.copy()
+        off[3] *= 1.01
+        with pytest.raises(PreconditionViolation):
+            _point_in_open_cap(v, off)
+
+
+class TestApexTestNonUnitDirections:
+    """The apex test reads a float direction as its exact rational, whose
+    |u| is 1 only to a few ulps; its verdict must not depend on |u|."""
+
+    V = (0.0, 0.0, 2.0)
+
+    @staticmethod
+    def lit_reference(u, v):
+        """-<u, v> > |u| sqrt(|v|^2 - 1) in exact arithmetic."""
+        u, v = frac_vec(u), frac_vec(v)
+        a = -dot(u, v)
+        return a > 0 and a * a > dot(u, u) * (dot(v, v) - 1)
+
+    def test_rows_a_few_ulps_off_the_unit_sphere(self):
+        s, c = math.sin(math.radians(30)), math.cos(math.radians(30))
+        units = [(s + k * 2.0**-53, 0.0, -c) for k in range(-40, 41)]
+        want = [self.lit_reference(u, self.V) for u in units]
+        # |u|^2 - 1 >= 3.3e-16 from k = 2 on tips these rows out of the cone
+        assert want == [k < 2 for k in range(-40, 41)]
+        assert [_apex_lit_exact(u, self.V, 0.0) for u in units] == want
+        apexes, one = np.asarray([self.V]), np.ones(1, dtype=np.int64)
+        counts = [_apex_counts(apexes, np.asarray([u]), one, 0.0)[0] for u in units]
+        assert counts == [int(w) for w in want]
+
+    def test_margin_is_taken_on_the_angle(self):
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=(400, 3)) * 1.5
+        v = v[np.linalg.norm(v, axis=1) > 1.05]
+        u = rng.normal(size=(len(v), 3)) - v  # aimed near the ball
+        tau = 0.05
+        r = np.linalg.norm(v, axis=1)
+        margin = (-(u * v).sum(axis=1) / np.linalg.norm(u, axis=1) / r
+                  - np.sqrt(r * r - 1.0) / r - tau)
+        clear = np.abs(margin) > 1e-9
+        assert 0 < (margin[clear] > 0).sum() < clear.sum()
+        one = np.ones(1, dtype=np.int64)
+        for a, w, m in zip(v[clear], u[clear], margin[clear]):
+            lit = _apex_lit_exact(w.tolist(), a.tolist(), tau)
+            assert lit == (m > 0)
+            assert lit == _apex_lit_exact((4 * w).tolist(), a.tolist(), tau)
+            assert _apex_counts(a[None], w[None], one, tau)[0] == int(lit)
 
 
 class TestIncompatibility:

@@ -17,6 +17,7 @@ from illum.geometry import (
     Tolerance,
     _bounded_cofactors,
     _cofactor_vector,
+    _column_dots,
     _exact_sphere_minimum,
     _merged_rows,
     _row_signs,
@@ -39,6 +40,27 @@ from conftest import (
 )
 
 SQUARE = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+
+
+class TestColumnDots:
+    """_column_dots rounds exactly as the numpy row sum, and its root as the
+    row norm, so it can replace them without moving a bit."""
+
+    @pytest.mark.parametrize("shape", [(500, 2), (500, 3), (40, 50, 3)])
+    def test_bitwise_sum_and_norm(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        y = rng.normal(size=shape)
+        assert _column_dots(x, y).shape == shape[:-1]
+        assert _column_dots(x, y).tobytes() == (x * y).sum(axis=-1).tobytes()
+        root = np.sqrt(_column_dots(x, x))
+        assert root.tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+    def test_bitwise_with_a_broadcast_vector(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(500, 3)), rng.normal(size=3)
+        assert _column_dots(x, y).tobytes() == (x * y).sum(axis=-1).tobytes()
+        assert _column_dots(y, y) == (y * y).sum()
 
 
 class TestDirection:

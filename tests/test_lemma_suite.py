@@ -29,6 +29,16 @@ def test_suite_passes_at_fixed_seed(seed):
     assert not failures, failures
 
 
+def test_every_entry_passes_for_seeds_0_to_19():
+    failed = [
+        (seed, r.name, r.detail)
+        for seed in range(20)
+        for r in run_lemma_suite(seed)
+        if not r.passed
+    ]
+    assert not failed
+
+
 def test_suite_is_seed_deterministic():
     a = run_lemma_suite(99)
     b = run_lemma_suite(99)
@@ -122,23 +132,28 @@ class TestBatchedEntriesCatchFailures:
         assert detail == f"disagreement at {p[0]} apex {v[0]}"
 
     def test_cap_interior_identity_with_negated_open_cap(self, monkeypatch):
-        calls = _replace(monkeypatch, "in_open_cap", lambda f, spec, p: not f(spec, p))
+        calls = _replace(monkeypatch, "_point_in_open_cap", lambda f, v, p: ~f(v, p))
         detail = _run_entry("cap_interior_identity")
-        spec, p = calls[0][0]
-        assert detail == (
-            f"disagreement at {np.array(p)} apex {np.array(spec.apexes[0])}"
-        )
+        # one row call per dimension; every row disagrees, so row 0 offends
+        (v, p), cap = calls[0]
+        assert v.shape == p.shape and v.shape[0] > 1 and cap.shape == v.shape[:1]
+        assert detail == f"disagreement at {p[0]} apex {v[0]}"
 
     def test_cap_containment_with_apex_beyond_the_spike(self, monkeypatch):
         apexes = _record(monkeypatch, "_random_apex")
         units = _record(monkeypatch, "_unit")
         _replace(monkeypatch, "_random_spike_point",
                  lambda f, rng, v, beta_min=0.0: 1.5 * v)
-        # a point cap passes the radius comparison, leaving the sphere check
-        _replace(monkeypatch, "closed_cap_of_ball",
-                 lambda f, v: SphericalCap((0.0, 0.0, 1.0), 0.0))
+        # point caps pass the radius comparison, leaving the sphere check
+        caps = _replace(
+            monkeypatch, "closed_cap_of_ball",
+            lambda f, v: SphericalCap(np.tile((0.0, 0.0, 1.0), (len(v), 1)),
+                                      np.zeros(len(v))),
+        )
         detail = _run_entry("cap_containment")
         [(_, v)] = apexes
+        # one row call for the outer caps and one for the inner ones
+        assert [args[0].shape for args, _ in caps] == [v.shape, v.shape]
         spheres = units[-1][1]
         assert spheres.shape == (len(v) * 50, 3)
         for a, p in zip(v, spheres.reshape(len(v), 50, 3)):
