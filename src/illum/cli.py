@@ -12,9 +12,10 @@ import functools
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
-from . import balls, capbody, jsonio, polygons
+from . import balls, capbody, jsonio, piercing, polygons
 from .errors import DomainError, IllumError
 from .geometry import Ball, Tolerance, ellipse_body, unit_circle_body, verify_mfold
 from .lemmas import run_lemma_suite
@@ -132,15 +133,24 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- command handlers -------------------------------------------------------
 
 def _cmd_polygon_solve(args) -> CommandResult:
+    t0 = time.perf_counter()
     poly = jsonio.polygon_from_json(jsonio.read_json(args.polygon))
-    solution = polygons.polygon_piercing_solution(poly, args.m)
+    t1 = time.perf_counter()
+    system = polygons.vertex_arcs(poly)
+    t2 = time.perf_counter()
+    solution = piercing.min_mfold_pierce(system, args.m)
+    t3 = time.perf_counter()
     payload = jsonio.solution_to_json(solution)
     if args.emit_directions:
         jsonio.write_json(
             args.emit_directions,
             jsonio.multiset_to_json(solution.as_direction_multiset()),
         )
-    return CommandResult("ok", payload, [f"optimum {solution.size}"])
+    chain = solution.certificate
+    return CommandResult("ok", payload, [f"optimum {solution.size}"], [
+        f"chain k={len(chain['chain'])} w={chain['wraps']}",
+        f"wall s: parse {t1 - t0:.4f} arcs {t2 - t1:.4f} solve {t3 - t2:.4f}",
+    ])
 
 
 def _cmd_polygon_formula(args) -> CommandResult:

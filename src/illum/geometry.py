@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -296,12 +296,22 @@ class ConvexPolygon:
         if len(verts) < 3:
             raise DomainError("polygon needs at least 3 vertices")
         n = len(verts)
-        edges = tuple(
-            (verts[(i + 1) % n][0] - verts[i][0], verts[(i + 1) % n][1] - verts[i][1])
-            for i in range(n)
-        )
+        # integer edges, streamed: each vertex over its own denominator, each
+        # edge over the lcm of its two (one lcm of all grows with n if they differ)
+        ratios = (map(Fraction.as_integer_ratio, v) for v in verts + verts[:1])
+        ints = ((xn * (d // xd), yn * (d // yd), d)
+                for (xn, xd), (yn, yd) in ratios for d in (math.lcm(xd, yd),))
+        edges, rays = [], []
+        for (ax, ay, da), (bx, by, db) in pairwise(ints):
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            dx, dy = bx * fb - ax * fa, by * fb - ay * fa
+            g = math.gcd(dx, dy)
+            edges.append((Fraction(dx, den), Fraction(dy, den)))
+            rays.append(g and (dx // g, dy // g))  # 0 for a zero edge
         try:
-            rays = tuple(_primitive_ray(e) for e in edges)  # a zero edge raises
+            if not all(rays):
+                raise DomainError("zero vector has no ray")
             if not all(cross2(rays[i - 1], rays[i]) > 0 for i in range(n)):
                 raise DomainError("polygon must be strictly convex with CCW vertex order")
             # all turns positive still admits multiple windings; a simple
@@ -317,8 +327,8 @@ class ConvexPolygon:
                 raise DomainError("repeated vertex") from None
             raise
         self.vertices = verts
-        self.edges = edges
-        self.rays = rays
+        self.edges = tuple(edges)
+        self.rays = tuple(rays)
 
     @property
     def n(self) -> int:

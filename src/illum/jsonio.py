@@ -73,12 +73,22 @@ def polygon_to_json(poly: ConvexPolygon) -> dict:
     }
 
 
+def _rational(c) -> Fraction:
+    """``Fraction(c)``; "p" and "p/q" in ASCII digits (p may be negative) by int()."""
+    if isinstance(c, str):
+        num, slash, den = c.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if (digits + den).isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(c)
+
+
 def polygon_from_json(doc: dict) -> ConvexPolygon:
     _check_schema(doc, "polygon")
     try:
         if any(isinstance(c, bool) for v in doc["vertices"] for c in v):
             raise DomainError("booleans are not coordinates")
-        vertices = [tuple(Fraction(c) for c in v) for v in doc["vertices"]]
+        vertices = [tuple(_rational(c) for c in v) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed polygon JSON: {exc}") from exc
     return ConvexPolygon(vertices)

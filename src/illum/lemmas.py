@@ -92,7 +92,7 @@ def _random_cap_point(rng, v):
     vhat = v / r
 
     def draw(todo):
-        ang = rng.uniform(0.0, cap_r[todo] * 0.999)
+        ang = rng.random((len(todo), 1)) * (cap_r[todo] * 0.999)  # = uniform(0, high)
         w = rng.standard_normal((len(todo), v.shape[1]))
         axis = vhat[todo]
         w -= _column_dots(w, axis)[:, None] * axis

@@ -25,7 +25,7 @@ the chain is the optimality certificate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -38,6 +38,7 @@ from .geometry import (
     DirectionMultiset,
     _primitive_ray,
     _ray_unit,
+    angle_cmp,
     angle_sort_key,
     ccw_rel_lt,
     frac_vec,
@@ -148,18 +149,25 @@ def _slot_intervals(arcs) -> tuple[list[int], list[tuple[int, int]]]:
 
     Arc i holds the slots whose start lies in [start_i, end_i): the run
     from the first start equal to start_i up to the last start before
-    end_i, found by binary search over the sorted starts.
+    end_i: one pass over the sorted starts, and one merge of the sorted ends
+    into them (a convex polygon's starts and ends sort as two runs each).
     """
     n = len(arcs)
-    keys = [angle_sort_key(arc.rays[0]) for arc in arcs]
-    order = sorted(range(n), key=keys.__getitem__)
-    sorted_keys = [keys[i] for i in order]
+    starts = [arc.rays[0] for arc in arcs]
+    order = sorted(range(n), key=[angle_sort_key(s) for s in starts].__getitem__)
+    first = [0] * n  # primitive rays: equal iff on the same ray
+    for k, prev, i in zip(range(1, n), order, order[1:]):
+        first[i] = first[prev] if starts[i] == starts[prev] else k
+    below, j = [0] * n, 0
+    for i in sorted(range(n), key=[angle_sort_key(a.rays[1]) for a in arcs].__getitem__):
+        while j < n and angle_cmp(starts[order[j]], arcs[i].rays[1]) < 0:
+            j += 1
+        below[i] = j
     intervals = []
-    for i, arc in enumerate(arcs):
-        l = bisect_left(sorted_keys, keys[i])
+    for l, b in zip(first, below):
         # cyclic distance from l to the first start at or past the end; 0
         # means no start lies in [end, start), so the arc holds every slot
-        count = (bisect_left(sorted_keys, angle_sort_key(arc.rays[1])) - l) % n or n
+        count = (b - l) % n or n
         intervals.append((0, n - 1) if count == n else (l, (l + count - 1) % n))
     return order, intervals
 
@@ -257,9 +265,10 @@ def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
             in_open_arc(s, end, w)
             or all(arcs[i].contains_direction(w) for i in covering)
         ):
-            x, y = arcs[arc_idx].start
-            t = Fraction(1, q)
-            return ((1 - t * t) * x - 2 * t * y, 2 * t * x + (1 - t * t) * y)
+            # ((1 - t^2) x - 2 t y, 2 t x + (1 - t^2) y) at t = 1/q on integers
+            (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in arcs[arc_idx].start)
+            xn, yn, den = xn * yd, yn * xd, q * q * xd * yd
+            return Fraction(c * xn - 2 * q * yn, den), Fraction(2 * q * xn + c * yn, den)
         q *= 2
     raise GeometryInternalError("failed to concretize a piercing slot")
 

@@ -70,6 +70,19 @@ def limit_denominator_polygon(n: int) -> ConvexPolygon:
     return ConvexPolygon(verts)
 
 
+def reference_polygon_edges(vertices):
+    """Vertices, edges and rays of a polygon as the constructor built them
+    with ``Fraction`` subtraction per edge and ``_primitive_ray`` per edge,
+    before it worked on integer vertices (no validation)."""
+    verts = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+    n = len(verts)
+    edges = tuple(
+        (verts[(i + 1) % n][0] - verts[i][0], verts[(i + 1) % n][1] - verts[i][1])
+        for i in range(n)
+    )
+    return verts, edges, tuple(_primitive_ray(e) for e in edges)
+
+
 def random_direction_2d(rng, coord_range: int = 40):
     while True:
         v = (int(rng.integers(-coord_range, coord_range + 1)),

@@ -279,6 +279,29 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
         assert "error" in result.payload
 
+    @pytest.mark.parametrize(
+        "coordinate, message",
+        [
+            ("1 / 2", "Invalid literal for Fraction: '1 / 2'"),
+            ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+            ("1/ 2", "Invalid literal for Fraction: '1/ 2'"),
+            ("0x10", "Invalid literal for Fraction: '0x10'"),
+            ("--1", "Invalid literal for Fraction: '--1'"),
+            ("1_", "Invalid literal for Fraction: '1_'"),
+            ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),
+            ("1/0", "Fraction(1, 0)"),
+            ("-0/0", "Fraction(0, 0)"),
+            ("\u0661\u0662/0", "Fraction(12, 0)"),
+        ],
+    )
+    def test_malformed_coordinate_exits_2(self, tmp_path, coordinate, message):
+        # messages recorded when every coordinate string went to Fraction()
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"vertices": [[coordinate, "0"], ["3", "0"], ["0", "3"]]}))
+        result = run(["polygon-solve", "--polygon", str(path), "-m", "1"])
+        assert result.exit_code == 2
+        assert result.payload["error"] == f"DomainError: malformed polygon JSON: {message}"
+
     def test_nan_direction_exits_2(self, tmp_path):
         path = tmp_path / "dirs.json"
         path.write_text('{"entries": [{"dir": [NaN, 0, 0]}, {"dir": [0, 0, -1]}]}')
@@ -538,6 +561,23 @@ class TestGoldenStdout:
             stdout = capsys.readouterr().out.encode()
             assert hashlib.sha256(stdout).hexdigest() == digest, m
 
+    def test_polygon_solve_regular_10000(self, tmp_path, capsys, monkeypatch):
+        # sha256 of the stdout bytes, recorded before the polygon was parsed
+        # and built on integers and slot intervals were found by one merge
+        import hashlib
+
+        from illum.cli import main
+        from illum.polygons import regular_polygon_rational
+
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        path = tmp_path / "regular10000.json"
+        path.write_text(dump_json(polygon_to_json(regular_polygon_rational(10 ** 4))))
+        assert main(["polygon-solve", "--polygon", str(path), "-m", "3"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "3254797a45cdae6230383401b76bd169d4f83e5bae97d91c2746e1e92632f6fa"
+        )
+
     def test_lemma_suite(self, capsys, monkeypatch):
         from illum.cli import main
 
@@ -641,3 +681,22 @@ class TestLogStreams:
         assert lines[0] == "pass at m=2, d=4" and lines[-1] == "status: ok"
         assert len(lines) == 3 and lines[1].startswith("signs recomputed exactly: ")
         assert int(lines[1].rsplit(" ", 1)[1]) >= 0
+
+    def test_polygon_solve_timings_only_under_debug(self, child_env, tmp_path):
+        # the chain and the stage wall times reach stderr under debug only;
+        # stdout keeps its bytes
+        data = Path(__file__).parent / "data"
+        cmd = [sys.executable, "-m", "illum.cli", "polygon-solve", "--polygon",
+               str(data / "polygon_lattice24.json"), "-m", "5"]
+        golden = (data / "polygon_solve_lattice24_m5.stdout").read_bytes()
+        default = subprocess.run(cmd, capture_output=True, env=child_env())
+        debug = subprocess.run(cmd, capture_output=True, env=child_env(ILLUM_LOG="debug"))
+        assert default.stdout == debug.stdout == golden
+        assert b"chain k=" not in default.stderr and b"wall s:" not in default.stderr
+        lines = debug.stderr.decode().splitlines()
+        assert lines[0] == default.stderr.decode().strip() and lines[-1] == "status: ok"
+        chain = json.loads(golden)["certificate"]
+        assert lines[1] == f"chain k={len(chain['chain'])} w={chain['wraps']}"
+        words = lines[2].split()
+        assert words[:2] == ["wall", "s:"] and words[2::2] == ["parse", "arcs", "solve"]
+        assert all(float(t) >= 0 for t in words[3::2]) and len(lines) == 4

@@ -32,9 +32,11 @@ from illum.balls import b3_direction_multiset, lift_directions
 from illum.polygons import polygon_piercing_solution, smooth_2d_directions
 
 from conftest import (
+    limit_denominator_polygon,
     random_convex_polygon,
     random_direction_2d,
     reference_cofactors,
+    reference_polygon_edges,
     reference_sphere_minimum,
     sampled_report,
 )
@@ -177,6 +179,39 @@ class TestConvexPolygon:
         with pytest.raises(DomainError) as err:
             ConvexPolygon(vertices)
         assert str(err.value) == message
+
+
+    @staticmethod
+    def _build_cases():
+        rng = np.random.default_rng(2024)
+        cases = [random_convex_polygon(rng, n).vertices for n in (3, 4, 7, 12, 30)]
+        for scale in (1, 7, 10 ** 6):
+            # points of a circle, each over its own random denominator times a
+            # common scale; the rounding is far below the vertex spacing
+            for n in (5, 9, 40):
+                dens = rng.integers(1, 10 ** 6, size=n)
+                cases.append([
+                    (Fraction(round(10 ** 12 * math.cos(2 * math.pi * i / n) * int(d)),
+                              int(d) * scale),
+                     Fraction(round(10 ** 12 * math.sin(2 * math.pi * i / n) * int(d)),
+                              int(d) * scale))
+                    for i, d in enumerate(dens)
+                ])
+        cases.append(limit_denominator_polygon(40).vertices)
+        cases.append([(math.cos(t), math.sin(t)) for t in np.linspace(0, 6, 9)])
+        cases.append([(0.0, 0.0), (1e300, 0.0), (0.5, 1e-300)])
+        cases.append([(0, 0), (10 ** 400, 0), (0, 1)])
+        cases.append([(Fraction(1, 3), 0), (1, Fraction(-2, 7)), (Fraction(5, 4), 2)])
+        return cases
+
+    def test_edges_and_rays_match_fraction_reference(self):
+        for vertices in self._build_cases():
+            poly = ConvexPolygon(vertices)
+            verts, edges, rays = reference_polygon_edges(vertices)
+            assert poly.vertices == verts
+            assert poly.edges == edges and poly.rays == rays
+            assert all(type(c) is Fraction for e in poly.edges for c in e)
+            assert all(type(c) is int for r in poly.rays for c in r)
 
 
 class TestDirectionPredicate:

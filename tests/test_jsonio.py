@@ -6,6 +6,7 @@ import pytest
 from illum.errors import DomainError
 from illum.geometry import ConvexPolygon, Direction, DirectionMultiset
 from illum.jsonio import (
+    _rational,
     capbody_from_json,
     capbody_to_json,
     multiset_from_json,
@@ -90,3 +91,48 @@ def test_non_finite_capbody_apex_rejected():
     doc = json.loads('{"dim": 3, "apexes": [[1e400, 0, 0], [0, 0, 2]]}')
     with pytest.raises(DomainError, match="not finite"):
         capbody_from_json(doc)
+
+
+def _outcome(parse, c):
+    """The value, or the type and message of the error, of parse(c)."""
+    try:
+        return parse(c)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+COORDINATE_STRINGS = [
+    "0", "-0", "+0", "7", "-7", "00012", "1/2", "-1/2", "4/6", "-0/5",
+    "123456789012345678901234567890/987654321", "1 / 2", "1/-2", "1/ 2",
+    "1 /2", "1/+2", "+1/2", "-+1", "+-1", "--1", "-", "-/2", "/2", "1/", "/",
+    "", " ", "1_000/3", "1/1_0", "1__0", "1_", "_1", " 7 ", "\t1/2", "1/2\n",
+    "\u0661\u0662", "\u0661/\u0662", "-\u0663", "\u00b2", "1/0", "-0/0", "00012/0",
+    "1.5", "-.5", "1e3", "1E-3", "2.5e1/2", "0x10", "0b1", "inf", "nan", "1/2/3",
+    "1" * 5000, "1/" + "2" * 5000,
+]
+
+
+@pytest.mark.parametrize("c", COORDINATE_STRINGS)
+def test_coordinate_string_parses_as_fraction(c):
+    # the int() reading of "p" and "p/q" gives Fraction(c), or fails the same way
+    assert _outcome(_rational, c) == _outcome(Fraction, c)
+
+
+@pytest.mark.parametrize("c", [0, -3, 10 ** 30, 0.1, -2.5, 1e300, True, False,
+                               float("nan"), float("inf"), None, [1]])
+def test_non_string_coordinate_parses_as_fraction(c):
+    assert _outcome(_rational, c) == _outcome(Fraction, c)
+
+
+def test_polygon_coordinates_read_as_fractions():
+    doc = {"vertices": [["-1/2", "0"], ["3", "-0"], [" 7 ", "1_0/4"], [0, 2.5]]}
+    poly = polygon_from_json(doc)
+    want = [tuple(Fraction(c) for c in v) for v in doc["vertices"]]
+    assert poly.vertices == tuple(want)
+    assert all(type(c) is Fraction for v in poly.vertices for c in v)
+
+
+@pytest.mark.parametrize("vertex", [[True, 0], [0, False]])
+def test_polygon_boolean_coordinates_rejected(vertex):
+    with pytest.raises(DomainError, match="booleans are not coordinates"):
+        polygon_from_json({"vertices": [vertex, ["3", "0"], ["0", "3"]]})

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 
 from illum import piercing
 from illum.errors import DomainError, GeometryInternalError
-from illum.geometry import _primitive_ray, cross2, dot, in_open_arc, verify_mfold
+from illum.geometry import (
+    _primitive_ray,
+    angle_sort_key,
+    cross2,
+    dot,
+    in_open_arc,
+    verify_mfold,
+)
 from illum.piercing import (
     Arc,
     ArcSystem,
@@ -27,7 +35,7 @@ from illum.polygons import (
     vertex_arcs,
 )
 
-from conftest import limit_denominator_polygon, random_convex_polygon
+from conftest import limit_denominator_polygon, random_convex_polygon, random_direction_2d
 from test_arc_systems import random_arc_system
 
 
@@ -206,6 +214,39 @@ def reference_intervals(member):
             raise GeometryInternalError("arc slot membership is not contiguous")
         out.append((l, (l + count - 1) % n))
     return out
+
+
+def reference_slot_intervals(arcs):
+    """The binary-search form of ``_slot_intervals``: each arc's first slot
+    and the starts before its end by ``bisect_left`` over the sorted starts."""
+    n = len(arcs)
+    keys = [angle_sort_key(arc.rays[0]) for arc in arcs]
+    order = sorted(range(n), key=keys.__getitem__)
+    sorted_keys = [keys[i] for i in order]
+    intervals = []
+    for i, arc in enumerate(arcs):
+        l = bisect_left(sorted_keys, keys[i])
+        count = (bisect_left(sorted_keys, angle_sort_key(arc.rays[1])) - l) % n or n
+        intervals.append((0, n - 1) if count == n else (l, (l + count - 1) % n))
+    return order, intervals
+
+
+def shared_ray_system(rng):
+    """Arcs on a pool of a few directions, each endpoint a random positive
+    multiple of one, so starts repeat, ends repeat and ends land on starts;
+    some arcs end just clockwise of their own start and hold every slot."""
+    pool = list({_primitive_ray(random_direction_2d(rng, 5)) for _ in range(6)})
+    arcs, n = [], int(rng.integers(1, 13))
+    while len(arcs) < n:
+        (sx, sy), (ex, ey) = (pool[int(i)] for i in rng.integers(0, len(pool), 2))
+        if rng.integers(0, 4) == 0:
+            ex, ey = 60 * sx + sy, 60 * sy - sx  # just clockwise of the start
+        a, b = (int(c) for c in rng.integers(1, 5, 2))
+        try:
+            arcs.append(Arc(start=(a * sx, a * sy), end=(b * ex, b * ey)))
+        except DomainError:
+            continue
+    return ArcSystem(arcs=arcs)
 
 
 def reference_concretize(system, arc_idx, covering):
@@ -389,6 +430,26 @@ class TestSlotIntervals:
 
     def test_full_circle_intervals(self):
         assert _slot_intervals(FULL_CIRCLE.arcs)[1] == [(0, 2)] * 3
+
+
+    def test_merge_matches_binary_search(self, edge_cases):
+        for system, _, _ in edge_cases:
+            assert _slot_intervals(system.arcs) == reference_slot_intervals(system.arcs)
+
+    def test_merge_matches_binary_search_on_shared_rays(self):
+        rng = np.random.default_rng(4242)
+        dup_start = dup_end = end_on_start = full = 0
+        for _ in range(100):
+            system = shared_ray_system(rng)
+            order, intervals = reference_slot_intervals(system.arcs)
+            assert _slot_intervals(system.arcs) == (order, intervals)
+            starts = [a.rays[0] for a in system.arcs]
+            ends = [a.rays[1] for a in system.arcs]
+            dup_start += len(set(starts)) < len(starts)
+            dup_end += len(set(ends)) < len(ends)
+            end_on_start += bool(set(starts) & set(ends))
+            full += system.n > 1 and (0, system.n - 1) in intervals
+        assert min(dup_start, dup_end, end_on_start, full) >= 10
 
 
 class TestConcretizeSlot:
