@@ -1,8 +1,9 @@
 """Geometric primitives and the two illumination predicates.
 
-Arithmetic policy: polygons and piercing arcs keep exact
-``fractions.Fraction`` coordinates, and every 2D orientation test that
-feeds an exact verdict runs on their primitive integer rays
+Arithmetic policy: polygons and piercing arcs hold exact rational
+coordinates as integers over a positive denominator and build their
+``fractions.Fraction`` values only when read, and every 2D orientation test
+that feeds an exact verdict runs on their primitive integer rays
 (``_primitive_ray``), computed once per vector; ball, smooth-body and
 cap-body verdicts are exact for the rational values of the float unit
 directions (and apexes), on integer multiples of them.  Their signs come
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cmp_to_key, lru_cache
+from functools import cache, cached_property, cmp_to_key, lru_cache
 from itertools import combinations, islice, pairwise
 from typing import Callable, Sequence
 
@@ -55,6 +56,26 @@ def as_fraction(x) -> Fraction:
 
 def frac_vec(coords) -> tuple[Fraction, ...]:
     return tuple(as_fraction(c) for c in coords)
+
+
+def _ratio(c) -> tuple[int, int]:
+    """Integer ratio (p, q), q > 0, of an exact coordinate (floats read as
+    their binary values)."""
+    return (c if isinstance(c, (float, int, Fraction)) else as_fraction(c)).as_integer_ratio()
+
+
+def _integer_vector(coords) -> tuple[int, ...]:
+    """(x d, y d, ..., d): a rational vector as integers over the lcm d of
+    its denominators."""
+    ratios = [_ratio(c) for c in coords]
+    d = math.lcm(*(q for _, q in ratios))
+    return (*[p * (d // q) for p, q in ratios], d)
+
+
+def _over(v) -> tuple[Fraction, ...]:
+    """The ``Fraction`` vector (x/d, y/d, ...) of integers (x, y, ..., d), d > 0."""
+    *ints, d = v
+    return tuple(Fraction(c, d) for c in ints)
 
 
 def _primitive_ray(coords) -> tuple[int, ...]:
@@ -285,30 +306,48 @@ class Tolerance:
 class ConvexPolygon:
     """Strictly convex polygon, CCW vertex order, exact rational coordinates.
 
-    ``edges[i]`` runs from vertex i to vertex i+1; ``rays[i]`` is its
-    primitive integer ray, on which every orientation test runs.
+    It is held on integers: ``int_vertices[i]`` is vertex i as integer
+    ratios ((x, q), (y, r)) with q, r > 0; ``int_edges[i]`` is the edge from
+    vertex i to vertex i+1 as (x, y, d) for (x/d, y/d) with the least d > 0;
+    and ``rays[i]`` is the edge's primitive integer ray, on which every
+    orientation test runs.  ``vertices`` and ``edges`` are their
+    ``Fraction`` values, built when first read.
     """
 
     def __init__(self, vertices):
-        verts = tuple(frac_vec(v) for v in vertices)
-        if any(len(v) != 2 for v in verts):
+        self._build([tuple(_ratio(c) for c in v) for v in vertices])
+
+    @classmethod
+    def from_ratios(cls, vertices) -> "ConvexPolygon":
+        """The polygon on vertices given as integer ratios ((x, q), (y, r)),
+        q, r > 0, not necessarily reduced; no ``Fraction`` is built."""
+        poly = object.__new__(cls)
+        poly._build(vertices)
+        return poly
+
+    def _build(self, ratios):
+        ratios = tuple(ratios)
+        if any(len(v) != 2 for v in ratios):
             raise DomainError("polygon vertices need exactly two coordinates")
-        if len(verts) < 3:
+        if len(ratios) < 3:
             raise DomainError("polygon needs at least 3 vertices")
-        n = len(verts)
-        # integer edges, streamed: each vertex over its own denominator, each
-        # edge over the lcm of its two (one lcm of all grows with n if they differ)
-        ratios = (map(Fraction.as_integer_ratio, v) for v in verts + verts[:1])
-        ints = ((xn * (d // xd), yn * (d // yd), d)
-                for (xn, xd), (yn, yd) in ratios for d in (math.lcm(xd, yd),))
+        n = len(ratios)
+        # integer edges, streamed: each vertex over the lcm of its two
+        # denominators, each edge over the lcm of its two vertices' (one lcm
+        # of all grows with n if they differ), then cut to its least one
+        points = ((xn * (d // xd), yn * (d // yd), d)
+                  for (xn, xd), (yn, yd) in ratios + ratios[:1] for d in (math.lcm(xd, yd),))
         edges, rays = [], []
-        for (ax, ay, da), (bx, by, db) in pairwise(ints):
+        for (ax, ay, da), (bx, by, db) in pairwise(points):
             den = math.lcm(da, db)
             fa, fb = den // da, den // db
             dx, dy = bx * fb - ax * fa, by * fb - ay * fa
             g = math.gcd(dx, dy)
-            edges.append((Fraction(dx, den), Fraction(dy, den)))
+            h = math.gcd(g, den)
+            edges.append((dx // h, dy // h, den // h))
             rays.append(g and (dx // g, dy // g))  # 0 for a zero edge
+        self.int_vertices, self.int_edges = ratios, tuple(edges)
+        self.rays = tuple(rays)
         try:
             if not all(rays):
                 raise DomainError("zero vector has no ray")
@@ -323,16 +362,21 @@ class ConvexPolygon:
             # a repeated vertex always fails above (an adjacent one as a zero
             # edge; a strictly convex cycle winding once has no other), so
             # the set is built only here, where it still takes precedence
-            if len(set(verts)) != n:
+            if len(set(self.vertices)) != n:
                 raise DomainError("repeated vertex") from None
             raise
-        self.vertices = verts
-        self.edges = tuple(edges)
-        self.rays = tuple(rays)
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(*x), Fraction(*y)) for x, y in self.int_vertices)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(map(_over, self.int_edges))
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.rays)
 
     def outward_normal(self, i: int) -> tuple[Fraction, Fraction]:
         """Outward normal of the edge from vertex i to vertex i+1 (unnormalized)."""

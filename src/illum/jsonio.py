@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DomainError
@@ -73,14 +74,16 @@ def polygon_to_json(poly: ConvexPolygon) -> dict:
     }
 
 
-def _rational(c) -> Fraction:
-    """``Fraction(c)``; "p" and "p/q" in ASCII digits (p may be negative) by int()."""
-    if isinstance(c, str):
+def _rational(c) -> tuple[int, int]:
+    """An integer ratio (p, q), q > 0, of ``Fraction(c)``, or its error:
+    "p" and "p/q" in ASCII digits (p may be negative) by int(), unreduced."""
+    if isinstance(c, str) and c.isascii():
         num, slash, den = c.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if (digits + den).isascii() and digits.isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den) if slash else 1)
-    return Fraction(c)
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q:  # Fraction(c) raises the error of a zero denominator
+                return int(num), q
+    return Fraction(c).as_integer_ratio()
 
 
 def polygon_from_json(doc: dict) -> ConvexPolygon:
@@ -91,17 +94,27 @@ def polygon_from_json(doc: dict) -> ConvexPolygon:
         vertices = [tuple(_rational(c) for c in v) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed polygon JSON: {exc}") from exc
-    return ConvexPolygon(vertices)
+    return ConvexPolygon.from_ratios(vertices)
+
+
+@contextmanager
+def _printable():
+    """Python's limit on the digits of a printed int as a DomainError."""
+    try:
+        yield
+    except ValueError:
+        raise DomainError(
+            f"a coordinate has more than {sys.get_int_max_str_digits()} digits to print"
+        ) from None
 
 
 def multiset_to_json(multiset: DirectionMultiset) -> dict:
-    return {
-        "schema": SCHEMA,
-        "entries": [
+    with _printable():
+        entries = [
             {"dir": [scalar_to_json(c) for c in d.coords], "mult": mult}
             for d, mult in multiset.entries
-        ],
-    }
+        ]
+    return {"schema": SCHEMA, "entries": entries}
 
 
 def multiset_from_json(doc: dict) -> DirectionMultiset:
@@ -156,8 +169,9 @@ def solution_to_json(solution) -> dict:
     if solution.size > sys.maxsize:
         raise DomainError(f"optimum {solution.size} is too large to list")
     directions = []
-    for d, (_, mult) in zip(solution.directions, solution.slots):
-        directions.extend([[str(d[0]), str(d[1])]] * mult)
+    with _printable():
+        for d, (_, mult) in zip(solution.directions, solution.slots):
+            directions.extend([[str(d[0]), str(d[1])]] * mult)
     return {
         "schema": SCHEMA,
         "optimum": solution.size,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -36,45 +36,62 @@ from .errors import DomainError, GeometryInternalError
 from .geometry import (
     Direction,
     DirectionMultiset,
+    _integer_vector,
+    _over,
     _primitive_ray,
     _ray_unit,
     angle_cmp,
     angle_sort_key,
     ccw_rel_lt,
-    frac_vec,
     in_halfopen_arc,
     in_open_arc,
 )
 
 
-@dataclass(frozen=True)
 class Arc:
-    """Open CCW arc on the circle of directions, exact rational endpoints;
+    """Open CCW arc on the circle of directions, exact rational endpoints.
+
+    ``int_start`` and ``int_end`` hold the endpoints as integers (x, y, d)
+    for (x/d, y/d), d > 0; ``start`` and ``end`` build their ``Fraction``
+    values when read, and equality and hashing are those of (start, end).
     ``rays`` holds the primitive integer rays of (start, end), on which
-    every membership test runs."""
+    every membership test runs.
+    """
 
-    start: tuple[Fraction, Fraction]
-    end: tuple[Fraction, Fraction]
-    rays: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("int_start", "int_end", "rays")
 
-    def __post_init__(self):
-        start, end = frac_vec(self.start), frac_vec(self.end)
-        rays = (_primitive_ray(start), _primitive_ray(end))
-        if rays[0] == rays[1]:
+    def __init__(self, start, end):
+        self.int_start, self.int_end = _integer_vector(start), _integer_vector(end)
+        self.rays = (_primitive_ray(self.int_start[:-1]), _primitive_ray(self.int_end[:-1]))
+        if self.rays[0] == self.rays[1]:
             raise DomainError("arc endpoints coincide (length 0 or full circle)")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "rays", rays)
 
     @classmethod
-    def _on_rays(cls, start, end, rays) -> "Arc":
-        """Arc on ``Fraction`` endpoints whose primitive rays (distinct) the
-        caller already holds; nothing is recomputed."""
+    def _on_rays(cls, int_start, int_end, rays) -> "Arc":
+        """Arc on integer endpoints whose primitive rays (distinct) the caller
+        already holds; nothing is recomputed."""
         arc = object.__new__(cls)
-        object.__setattr__(arc, "start", start)
-        object.__setattr__(arc, "end", end)
-        object.__setattr__(arc, "rays", rays)
+        arc.int_start, arc.int_end, arc.rays = int_start, int_end, rays
         return arc
+
+    @property
+    def start(self) -> tuple[Fraction, Fraction]:
+        return _over(self.int_start)
+
+    @property
+    def end(self) -> tuple[Fraction, Fraction]:
+        return _over(self.int_end)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.end) == (other.start, other.end)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __repr__(self) -> str:
+        return f"Arc(start={self.start!r}, end={self.end!r})"
 
     def contains_slot(self, s) -> bool:
         """Does this open arc contain the slot just CCW past direction s (any
@@ -266,9 +283,9 @@ def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
             or all(arcs[i].contains_direction(w) for i in covering)
         ):
             # ((1 - t^2) x - 2 t y, 2 t x + (1 - t^2) y) at t = 1/q on integers
-            (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in arcs[arc_idx].start)
-            xn, yn, den = xn * yd, yn * xd, q * q * xd * yd
-            return Fraction(c * xn - 2 * q * yn, den), Fraction(2 * q * xn + c * yn, den)
+            x, y, d = arcs[arc_idx].int_start
+            den = q * q * d
+            return Fraction(c * x - 2 * q * y, den), Fraction(2 * q * x + c * y, den)
         q *= 2
     raise GeometryInternalError("failed to concretize a piercing slot")
 

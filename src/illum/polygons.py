@@ -47,13 +47,14 @@ def vertex_arcs(polygon: ConvexPolygon) -> ArcSystem:
 
     The vertex between edges e_{i-1} and e_i is illuminated exactly by the
     open arc from e_i CCW to -e_{i-1} (length pi minus the exterior angle).
-    Its rays are the polygon's own: (rays[i], -rays[i-1]).
+    Its integer ends and rays are the polygon's own: (int_edges[i],
+    -int_edges[i-1]) and (rays[i], -rays[i-1]).
     """
-    edges, rays = polygon.edges, polygon.rays
+    edges, rays = polygon.int_edges, polygon.rays
     arcs = []
     for i in range(polygon.n):
-        (ex, ey), (rx, ry) = edges[i - 1], rays[i - 1]
-        arcs.append(Arc._on_rays(edges[i], (-ex, -ey), (rays[i], (-rx, -ry))))
+        (ex, ey, d), (rx, ry) = edges[i - 1], rays[i - 1]
+        arcs.append(Arc._on_rays(edges[i], (-ex, -ey, d), (rays[i], (-rx, -ry))))
     return ArcSystem(arcs=arcs)
 
 

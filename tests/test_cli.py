@@ -291,6 +291,7 @@ class TestErrors:
             ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),
             ("1/0", "Fraction(1, 0)"),
             ("-0/0", "Fraction(0, 0)"),
+            ("0/0", "Fraction(0, 0)"),
             ("\u0661\u0662/0", "Fraction(12, 0)"),
         ],
     )
@@ -301,6 +302,36 @@ class TestErrors:
         result = run(["polygon-solve", "--polygon", str(path), "-m", "1"])
         assert result.exit_code == 2
         assert result.payload["error"] == f"DomainError: malformed polygon JSON: {message}"
+
+    def test_directions_past_the_digit_limit_exit_2(self, tmp_path):
+        # the 10^1600 triangle solves, but its directions have more digits
+        # than Python prints; the 10^1300 one keeps its recorded bytes
+        import hashlib
+
+        def solve(exponent, *extra):
+            path = tmp_path / f"tri{exponent}.json"
+            vertices = [["0", "0"], [f"1e{exponent}", "0"], ["0", "1"]]
+            path.write_text(json.dumps({"vertices": vertices}))
+            return run(["polygon-solve", "--polygon", str(path), "-m", "2", *extra])
+
+        def sha256(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        out = tmp_path / "dirs.json"
+        message = f"a coordinate has more than {sys.get_int_max_str_digits()} digits to print"
+        for extra in ([], ["--emit-directions", str(out)]):
+            result = solve(1600, *extra)
+            assert result.exit_code == 2 and result.diagnostics == [message]
+            assert result.payload["error"] == f"DomainError: {message}"
+        assert not out.exists()
+        result = solve(1300, "--emit-directions", str(out))
+        assert result.exit_code == 0
+        assert sha256(dump_json(result.payload) + "\n") == (
+            "732c2f7166be85d24566d65429cae9e723c10779cb988388be8f0f6cb41aa6a1"
+        )
+        assert sha256(out.read_text()) == (
+            "7427ba7d08bfc9b16174e81b640cfa5d516f740005ff6d0e3fcaa1bb1c47780a"
+        )
 
     def test_nan_direction_exits_2(self, tmp_path):
         path = tmp_path / "dirs.json"
@@ -540,6 +571,25 @@ class TestGoldenStdout:
         for path, m, golden in cases:
             assert main(["polygon-solve", "--polygon", str(path), "-m", m]) == 0
             assert capsys.readouterr().out == (data / golden).read_text()
+
+    def test_polygon_solve_emitted_directions(self, tmp_path, monkeypatch):
+        # file bytes recorded before the parse, the polygon and the vertex
+        # arcs kept their coordinates as integers
+        from illum.cli import main
+
+        data = Path(__file__).parent / "data"
+        monkeypatch.setenv("ILLUM_LOG", "quiet")
+        regular = tmp_path / "regular200.json"
+        regular.write_text(dump_json(polygon_to_json(limit_denominator_polygon(200))))
+        cases = [
+            (regular, "3", "polygon_emit_reg200_m3.json"),
+            (data / "polygon_lattice24.json", "5", "polygon_emit_lattice24_m5.json"),
+        ]
+        for path, m, golden in cases:
+            out = tmp_path / golden
+            assert main(["polygon-solve", "--polygon", str(path), "-m", m,
+                         "--emit-directions", str(out)]) == 0
+            assert out.read_bytes() == (data / golden).read_bytes()
 
     def test_polygon_solve_regular_1000(self, tmp_path, capsys, monkeypatch):
         # sha256 of the stdout bytes, recorded before the vertex arcs took

@@ -29,7 +29,9 @@ from illum.geometry import (
     verify_mfold,
 )
 from illum.balls import b3_direction_multiset, lift_directions
-from illum.polygons import polygon_piercing_solution, smooth_2d_directions
+from illum.jsonio import polygon_from_json
+from illum.piercing import Arc
+from illum.polygons import polygon_piercing_solution, smooth_2d_directions, vertex_arcs
 
 from conftest import (
     limit_denominator_polygon,
@@ -212,6 +214,45 @@ class TestConvexPolygon:
             assert poly.edges == edges and poly.rays == rays
             assert all(type(c) is Fraction for e in poly.edges for c in e)
             assert all(type(c) is int for r in poly.rays for c in r)
+
+    @classmethod
+    def _json_cases(cls):
+        """The cases above as JSON coordinate strings, plus unreduced and
+        negative-zero spellings, which the parse keeps unreduced."""
+        docs = [[[str(Fraction(c)) for c in v] for v in vertices]
+                for vertices in cls._build_cases()]
+        docs.append([["2/4", "-0"], ["3", "0"], ["0", "6/4"]])
+        docs.append([["-0", "-0/7"], ["10/2", "000"], ["-6/4", "0010/4"]])
+        return docs
+
+    def test_parsed_attributes_match_fraction_reference(self):
+        # the parse, the polygon and its vertex arcs hold integers; every
+        # Fraction they show is built on read and equals the old value
+        for doc in self._json_cases():
+            poly = polygon_from_json({"vertices": doc})
+            verts, edges, rays = reference_polygon_edges(doc)
+            assert poly.n == len(verts)
+            assert poly.vertices == verts and poly.edges == edges and poly.rays == rays
+            assert all(type(c) is Fraction for v in poly.vertices + poly.edges for c in v)
+            assert all(type(c) is int for r in poly.rays for c in r)
+            for i, arc in enumerate(vertex_arcs(poly).arcs):
+                start, end = edges[i], (-edges[i - 1][0], -edges[i - 1][1])
+                assert arc.start == start and arc.end == end
+                assert all(type(c) is Fraction for c in arc.start + arc.end)
+                built = Arc(start=start, end=end)
+                assert arc == built and hash(arc) == hash(built)
+                assert repr(arc) == repr(built) and arc.rays == built.rays
+
+    def test_arc_equality_is_that_of_its_endpoints(self):
+        # as when Arc was a frozen dataclass comparing (start, end)
+        arc = Arc(start=(1, 0), end=(0, 1))
+        assert arc == Arc(start=(Fraction(2, 2), 0.0), end=(0, Fraction(1)))
+        assert arc != Arc(start=(2, 0), end=(0, 1))  # same rays, another start
+        assert arc != (arc.start, arc.end)
+        assert hash(arc) == hash(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+        assert repr(arc) == (
+            "Arc(start=(Fraction(1, 1), Fraction(0, 1)), end=(Fraction(0, 1), Fraction(1, 1)))"
+        )
 
 
 class TestDirectionPredicate:

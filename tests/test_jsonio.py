@@ -101,6 +101,13 @@ def _outcome(parse, c):
         return type(exc), str(exc)
 
 
+def _ratio_value(c) -> Fraction:
+    """The value of ``_rational(c)``, whose denominator must be positive."""
+    p, q = _rational(c)
+    assert type(p) is int and type(q) is int and q > 0
+    return Fraction(p, q)
+
+
 COORDINATE_STRINGS = [
     "0", "-0", "+0", "7", "-7", "00012", "1/2", "-1/2", "4/6", "-0/5",
     "123456789012345678901234567890/987654321", "1 / 2", "1/-2", "1/ 2",
@@ -114,14 +121,15 @@ COORDINATE_STRINGS = [
 
 @pytest.mark.parametrize("c", COORDINATE_STRINGS)
 def test_coordinate_string_parses_as_fraction(c):
-    # the int() reading of "p" and "p/q" gives Fraction(c), or fails the same way
-    assert _outcome(_rational, c) == _outcome(Fraction, c)
+    # the int() reading of "p" and "p/q" gives a ratio of Fraction(c), or
+    # fails the same way
+    assert _outcome(_ratio_value, c) == _outcome(Fraction, c)
 
 
 @pytest.mark.parametrize("c", [0, -3, 10 ** 30, 0.1, -2.5, 1e300, True, False,
                                float("nan"), float("inf"), None, [1]])
 def test_non_string_coordinate_parses_as_fraction(c):
-    assert _outcome(_rational, c) == _outcome(Fraction, c)
+    assert _outcome(_ratio_value, c) == _outcome(Fraction, c)
 
 
 def test_polygon_coordinates_read_as_fractions():
@@ -136,3 +144,9 @@ def test_polygon_coordinates_read_as_fractions():
 def test_polygon_boolean_coordinates_rejected(vertex):
     with pytest.raises(DomainError, match="booleans are not coordinates"):
         polygon_from_json({"vertices": [vertex, ["3", "0"], ["0", "3"]]})
+
+
+def test_coordinates_past_the_digit_limit_raise_domain_error():
+    huge = Fraction(10 ** 5000 + 1, 3)
+    with pytest.raises(DomainError, match="digits to print"):
+        multiset_to_json(DirectionMultiset([(Direction((huge, 1)), 1)]))
