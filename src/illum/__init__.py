@@ -46,7 +46,6 @@ from .geometry import (
     Tolerance,
     ellipse_body,
     illuminates_by_direction,
-    illuminates_by_point,
     unit_circle_body,
     verify_mfold,
 )

@@ -70,14 +70,6 @@ def inverse_stereographic(x) -> np.ndarray:
     return np.concatenate([2.0 * x, [nsq - 1.0]]) / (nsq + 1.0)
 
 
-def forward_stereographic(y) -> np.ndarray:
-    """Inverse of :func:`inverse_stereographic` (undefined at the pole)."""
-    y = np.asarray(y, dtype=np.float64)
-    if abs(1.0 - y[-1]) < 1e-15:
-        raise DomainError("the projection center has no image")
-    return y[:-1] / (1.0 - y[-1])
-
-
 def lift_directions(
     multiset: DirectionMultiset, m: int, tol: Tolerance = Tolerance()
 ) -> DirectionMultiset:
@@ -117,49 +109,3 @@ def recursive_ball_construction(m: int, d: int) -> DirectionMultiset:
         multiset = lift_directions(multiset, m)
     return multiset
 
-
-# --------------------------------------------------------------------------
-# analytic three-band mirror of the 3-ball construction
-# --------------------------------------------------------------------------
-
-def b3_band_report(m: int, n_samples: int = 20_000):
-    """Per-band illumination counts following the construction's own case
-    analysis, independent of the generic verifier.
-
-    The fan uses its default tilt eps, half of :func:`b3_eps_bound`.
-    Bands partition the sphere by height: below -sqrt(1-eps^2) the m odd
-    fan directions work; the middle band uses the m fan slots whose azimuth
-    is within m*pi/(2m+1) of the point; above 1/2 the even slots of that
-    window and the down copies take over.  Returns the minimum count seen
-    per band, each of which must be >= m.
-    """
-    eps = b3_eps_bound(m) / 2
-    multiset = b3_direction_multiset(m, eps)
-    units = [d.unit() for d, _ in multiset.entries[:-1]]
-    k = 2 * m + 1
-    from .geometry import sphere_sample
-
-    pts = sphere_sample(3, n_samples)
-    z = pts[:, 2]
-    theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
-    band_mins = {"low": math.inf, "mid": math.inf, "high": math.inf}
-    z_split = math.sqrt(1.0 - eps * eps)
-    for p, zz, th in zip(pts, z, theta):
-        if zz < -z_split:
-            idx = [i for i in range(k) if i % 2 == 1]
-            band = "low"
-        else:
-            lo = (-m + k * th / math.pi) / 2
-            hi = (m + k * th / math.pi) / 2
-            window = [i for i in range(math.ceil(lo), math.floor(hi) + 1)]
-            if zz <= 0.5:
-                idx = [i % k for i in window]
-                band = "mid"
-            else:
-                idx = [i % k for i in window if (i % k) % 2 == 0]
-                band = "high"
-        count = sum(1 for i in idx if float(units[i] @ p) < 0)
-        if band == "high":
-            count += -(-m // 2)
-        band_mins[band] = min(band_mins[band], count)
-    return band_mins

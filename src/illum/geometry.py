@@ -1,4 +1,4 @@
-"""Geometric primitives and the two illumination predicates.
+"""Geometric primitives and the illumination predicate.
 
 Arithmetic policy: polygons and piercing arcs hold exact rational
 coordinates as integers over a positive denominator and build their
@@ -245,6 +245,9 @@ class DirectionMultiset:
             raise DomainError("direction multiset must be nonempty")
         if any(m < 1 for _, m in entries):
             raise DomainError("multiplicities must be >= 1")
+        # counts sum multiplicities in float64, exact on integers below 2^53
+        if sum(m for _, m in entries) >= 2**53:
+            raise DomainError("total multiplicity must be below 2^53")
         dims = {d.dim for d, _ in entries}
         if len(dims) != 1:
             raise DomainError("mixed dimensions in direction multiset")
@@ -383,9 +386,6 @@ class ConvexPolygon:
         e = self.edges[i % self.n]
         return (e[1], -e[0])
 
-    def vertex_array(self) -> np.ndarray:
-        return np.asarray([[float(x), float(y)] for x, y in self.vertices])
-
     def lights_vertex(self, i: int, u) -> bool:
         """Does direction u (any positive multiple) enter the interior at
         vertex i?  Iff u lies in the open arc (rays[i], -rays[i-1]), i.e.
@@ -487,7 +487,7 @@ class IlluminationReport:
 
 
 # --------------------------------------------------------------------------
-# illumination predicates
+# illumination predicate
 # --------------------------------------------------------------------------
 
 def _check_on_sphere(p, margin: float):
@@ -523,28 +523,6 @@ def illuminates_by_direction(body, p, u, tol: Tolerance = Tolerance()) -> bool:
             return cross2(body.rays[i], uf) > 0
         return body.lights_vertex(i, uf)
     raise UnsupportedBody(f"unsupported body kind {type(body).__name__}")
-
-
-def _segment_meets_polygon_interior(poly: ConvexPolygon, a, b) -> bool:
-    """Does the closed segment a-b meet Int(poly)?  Exact rational clipping."""
-    a, b = frac_vec(a), frac_vec(b)
-    d = (b[0] - a[0], b[1] - a[1])
-    lo, hi = Fraction(0), Fraction(1)
-    for i in range(poly.n):
-        nrm = poly.outward_normal(i)
-        # interior side: <a + t d - v_i, nrm> < 0
-        coeff = dot(d, nrm)
-        rhs = dot(nrm, poly.vertices[i]) - dot(a, nrm)
-        if coeff == 0:
-            if rhs <= 0:
-                return False
-        elif coeff > 0:
-            hi = min(hi, Fraction(rhs, coeff))
-        else:
-            lo = max(lo, Fraction(rhs, coeff))
-        if lo >= hi:
-            return False
-    return True
 
 
 def _segment_origin_distance_sq(a, b):
@@ -592,55 +570,9 @@ def _column_dots(x, y) -> np.ndarray:
     return out
 
 
-def _segment_meets_ball_interior(a, b) -> bool:
-    """Does the closed segment a-b meet the open unit ball?"""
-    dist_sq = _segment_origin_distance_sq(a, b)
-    if isinstance(dist_sq, Fraction):
-        return dist_sq < 1
-    return math.sqrt(dist_sq) < 1.0 - 1e-12
-
-
-def illuminates_by_point(body, source, p, tol: Tolerance = Tolerance()) -> bool:
-    """Point-source illumination of boundary point p from source.
-
-    True iff the ray from source through p enters the interior while the
-    closed segment source-p stays out of it.
-    """
-    if isinstance(body, Ball):
-        src_norm = sum(float(c) ** 2 for c in source)
-        if src_norm <= 1:
-            raise PreconditionViolation("source must be strictly outside the body")
-        direction = tuple(as_fraction(y) - as_fraction(x) for x, y in zip(source, p)) \
-            if is_exact_coords(source) and is_exact_coords(p) \
-            else tuple(float(y) - float(x) for x, y in zip(source, p))
-        if not illuminates_by_direction(body, p, direction, tol):
-            return False
-        return not _segment_meets_ball_interior(source, p)
-    if isinstance(body, ConvexPolygon):
-        src = frac_vec(source)
-        if _point_in_polygon_interior(body, src):
-            raise PreconditionViolation("source must be strictly outside the body")
-        pf = frac_vec(p)
-        direction = (pf[0] - src[0], pf[1] - src[1])
-        if direction == (Fraction(0), Fraction(0)):
-            raise PreconditionViolation("source coincides with boundary point")
-        if not illuminates_by_direction(body, pf, direction):
-            return False
-        return not _segment_meets_polygon_interior(body, src, pf)
-    raise UnsupportedBody(f"unsupported body kind {type(body).__name__}")
-
-
-def _point_in_polygon_interior(poly: ConvexPolygon, p) -> bool:
-    p = frac_vec(p)
-    return all(
-        dot(p, poly.outward_normal(i)) < dot(poly.vertices[i], poly.outward_normal(i))
-        for i in range(poly.n)
-    )
-
-
 # --------------------------------------------------------------------------
 # deterministic boundary sampling: no verdict uses it; tests compare the
-# exact verifiers against it, and the 3-ball band report reads it
+# exact verifiers against it
 # --------------------------------------------------------------------------
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -703,14 +635,18 @@ def _report(
     samples: int,
     recomputed: int = 0,
 ) -> IlluminationReport:
-    """Verdict at the worst point, with the m-th largest margin there."""
-    expanded = np.sort(np.repeat(margins, mults))
+    """Verdict at the worst point, with the m-th largest margin there,
+    counted with multiplicity (the least one when m exceeds the total): the
+    margins sorted stably from the largest, and the first whose running sum
+    of multiplicities reaches m, so no array grows with a multiplicity."""
+    order = (-margins).argsort(kind="stable")
+    reach = np.asarray(mults)[order].cumsum()
     return IlluminationReport(
         passed=bool(count >= m),
         m=m,
         worst_point=tuple(point),
         worst_count=int(count),
-        worst_margin=float(expanded[-min(m, len(expanded))]),
+        worst_margin=float(margins[order[reach.searchsorted(min(m, reach[-1]))]]),
         samples=samples,
         recomputed=recomputed,
     )

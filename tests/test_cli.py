@@ -266,6 +266,35 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
         assert "error" in result.payload
 
+    @pytest.mark.parametrize("mult", [10**29, 2**53 + 1], ids=["1e29", "2^53+1"])
+    @pytest.mark.parametrize("command", ["ball-verify", "capbody-verify"])
+    def test_huge_multiplicity_exits_2(self, tmp_path, capsys, monkeypatch, command, mult):
+        # the cross-polytope directions +-e_i of the 3-ball, each mult times
+        from illum.cli import main
+
+        monkeypatch.delenv("ILLUM_LOG", raising=False)
+        entries = [
+            {"dir": [s * (i == j) for j in range(3)], "mult": mult}
+            for i in range(3)
+            for s in (1, -1)
+        ]
+        (tmp_path / "dirs.json").write_text(json.dumps({"entries": entries}))
+        (tmp_path / "spec.json").write_text(
+            json.dumps({"dim": 3, "apexes": [["0", "0", "1.05"]]})
+        )
+        args = ["--dirs", str(tmp_path / "dirs.json"), "-m", "1"]
+        if command == "ball-verify":
+            args += ["-d", "3"]
+        else:
+            args += ["--spec", str(tmp_path / "spec.json")]
+        assert main([command, *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == (
+            '{"error": "DomainError: total multiplicity must be below 2^53", '
+            '"schema": "v1"}\n'
+        )
+        assert err == "total multiplicity must be below 2^53\n"
+
     @pytest.mark.parametrize("command", ["polygon-solve", "polygon-check-condition"])
     @pytest.mark.parametrize(
         "vertex",

@@ -20,11 +20,11 @@ from illum.geometry import (
     _column_dots,
     _exact_sphere_minimum,
     _merged_rows,
+    _report,
     _row_signs,
     _worst_index,
     ellipse_body,
     illuminates_by_direction,
-    illuminates_by_point,
     sphere_sample,
     verify_mfold,
 )
@@ -93,6 +93,13 @@ class TestDirection:
     def test_multiset_requires_positive_mults(self):
         with pytest.raises(DomainError):
             DirectionMultiset([(Direction((1, 0)), 0)])
+
+    def test_multiset_total_stays_below_2_53(self):
+        # counts sum multiplicities in float64, exact below 2^53
+        DirectionMultiset([(Direction((1, 0)), 2**52), (Direction((0, 1)), 2**52 - 1)])
+        for mults in ([2**53], [2**52, 2**52], [10**29]):
+            with pytest.raises(DomainError, match="below 2\\^53"):
+                DirectionMultiset.from_vectors([(1, 0)] * len(mults), mults)
 
     TETRAHEDRON = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 
@@ -313,37 +320,6 @@ class TestDirectionPredicate:
         )
 
 
-class TestPointPredicate:
-    def test_square_corner_source(self):
-        assert illuminates_by_point(SQUARE, (2, 2), (1, 1))
-
-    def test_segment_through_interior_blocks(self):
-        assert not illuminates_by_point(SQUARE, (0, 2), (0, -1))
-
-    def test_ball_ray_misses_interior(self):
-        assert not illuminates_by_point(Ball(2), (2, 0), (0, 1))
-
-    def test_source_inside_rejected(self):
-        with pytest.raises(PreconditionViolation):
-            illuminates_by_point(SQUARE, (0, 0), (1, 1))
-        with pytest.raises(PreconditionViolation):
-            illuminates_by_point(Ball(2), (0.5, 0), (1, 0))
-
-    def test_far_source_agrees_with_direction_predicate(self):
-        rng = np.random.default_rng(7)
-        for d in (2, 3):
-            for _ in range(300):
-                p = rng.normal(size=d)
-                p /= np.linalg.norm(p)
-                u = rng.normal(size=d)
-                u /= np.linalg.norm(u)
-                if abs(u @ p) < 1e-4:
-                    continue  # finite-source boundary effects are O(1/|v|)
-                source = tuple(1e6 * u)
-                want = illuminates_by_direction(Ball(d), tuple(p), tuple(-u), Tolerance(margin=0.0))
-                assert illuminates_by_point(Ball(d), source, tuple(p)) == want
-
-
 class TestBoundarySample:
     def test_circle_four_points(self):
         pts = sphere_sample(2, 4)
@@ -399,7 +375,14 @@ class TestVerifyPolygon:
         # random rational multisets, half of the directions parallel to an
         # edge (an endpoint of two vertex arcs); the oracle steps from each
         # vertex along u and asks whether the point is interior
-        from illum.geometry import _point_in_polygon_interior
+        from illum.geometry import dot, frac_vec
+
+        def _point_in_polygon_interior(poly: ConvexPolygon, p) -> bool:
+            p = frac_vec(p)
+            return all(
+                dot(p, poly.outward_normal(i)) < dot(poly.vertices[i], poly.outward_normal(i))
+                for i in range(poly.n)
+            )
 
         rng = np.random.default_rng(1313)
         step = Fraction(1, 10**12)
@@ -571,6 +554,35 @@ class TestWorstIndex:
         assert _worst_index(points, counts) == 1 == self._lexsort_reference(
             points, counts
         )
+
+
+class TestReport:
+    def test_mth_largest_margin_matches_the_expansion(self):
+        # distinct margins, so the expanded sort and the walk over the
+        # cumulative multiplicities must pick the same value
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            k = int(rng.integers(1, 12))
+            margins = rng.choice(np.arange(-500, 500), size=k, replace=False) / 500
+            mults = rng.integers(1, 5, size=len(margins))
+            m = int(rng.integers(1, 2 * mults.sum() + 2))
+            expanded = np.sort(np.repeat(margins, mults))
+            want = expanded[-min(m, len(expanded))]
+            assert _report(m, (0.0, 0.0), 0, margins, mults, 1).worst_margin == want
+
+    def test_huge_multiplicity_needs_no_memory(self):
+        import tracemalloc
+
+        margins = np.array([0.5, -0.25, 0.125])
+        mults = np.array([2**40, 3, 2**40])
+        tracemalloc.start()
+        try:
+            reports = [_report(m, (0.0,), 0, margins, mults, 1) for m in (1, 2**40 + 1, 2**42)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.worst_margin for r in reports] == [0.5, 0.125, -0.25]
+        assert peak < 2**20
 
 
 class TestDimensionMismatch:

@@ -219,7 +219,7 @@ class TestRationalRegularSurrogates:
         assert poly.n == n
         # close to the unit-circle regular polygon: every edge length near
         # 2 sin(pi/n)
-        verts = poly.vertex_array()
+        verts = np.asarray([[float(x), float(y)] for x, y in poly.vertices])
         lengths = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
         assert np.allclose(lengths, 2 * math.sin(math.pi / n), atol=1e-4)
 
