@@ -34,7 +34,15 @@ class CommandResult:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(margin=getattr(args, "margin", 1e-6))
+    return Tolerance(margin=args.margin)
+
+
+def _multiset_entries(args, multiset) -> list:
+    """The multiset's JSON entries; its document is also written to --out."""
+    doc = jsonio.multiset_to_json(multiset)
+    if args.out:
+        jsonio.write_json(args.out, doc)
+    return doc["entries"]
 
 
 def _verdict(report, payload: dict, diagnostics: list[str]) -> CommandResult:
@@ -69,8 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--polygon", required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--cuts", help="comma-separated group cuts n_1..n_2m")
-    p.add_argument(
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--cuts", help="comma-separated group cuts n_1..n_2m")
+    group.add_argument(
         "--search", action="store_true", help="search for a valid grouping (n <= 12)"
     )
 
@@ -187,21 +196,19 @@ def _cmd_polygon_check(args) -> CommandResult:
 def _cmd_smooth_construct(args) -> CommandResult:
     body = unit_circle_body() if args.body == "circle" else ellipse_body(args.a, args.b)
     multiset = polygons.smooth_2d_directions(body, args.m)
+    report = verify_mfold(body, multiset, args.m, _tolerance(args))
     payload = {
         "schema": jsonio.SCHEMA,
         "m": args.m,
         "body": args.body,
-        "directions": jsonio.multiset_to_json(multiset)["entries"],
+        "directions": _multiset_entries(args, multiset),
         "size": multiset.total,
+        "report": jsonio.report_to_json(report),
     }
-    report = verify_mfold(body, multiset, args.m, _tolerance(args))
-    payload["report"] = jsonio.report_to_json(report)
     diagnostics = [
         f"{multiset.total} directions",
         f"verification: {'pass' if report.passed else 'FAIL'}",
     ]
-    if args.out:
-        jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
     return _verdict(report, payload, diagnostics)
 
 
@@ -214,7 +221,7 @@ def _ball_result(args, multiset, d: int) -> CommandResult:
         "m": args.m,
         "d": d,
         "size": multiset.total,
-        "directions": jsonio.multiset_to_json(multiset)["entries"],
+        "directions": _multiset_entries(args, multiset),
         "verified": report.passed,
         "report": jsonio.report_to_json(report),
     }
@@ -222,8 +229,6 @@ def _ball_result(args, multiset, d: int) -> CommandResult:
         f"{multiset.total} directions for the {d}-ball",
         f"verification: {'pass' if report.passed else 'FAIL'}",
     ]
-    if args.out:
-        jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
     return _verdict(report, payload, diagnostics)
 
 
@@ -279,10 +284,8 @@ def _cmd_capbody_construct(args) -> CommandResult:
         "size": multiset.total,
         "expected": expected,
         "spec": jsonio.capbody_to_json(spec),
-        "directions": jsonio.multiset_to_json(multiset)["entries"],
+        "directions": _multiset_entries(args, multiset),
     }
-    if args.out:
-        jsonio.write_json(args.out, jsonio.multiset_to_json(multiset))
     return CommandResult("ok", payload, [f"{multiset.total} directions (= {expected})"])
 
 

@@ -41,27 +41,24 @@ Scalar = Fraction | int | float
 # exact rational vector helpers (2D)
 # --------------------------------------------------------------------------
 
-def as_fraction(x) -> Fraction:
-    """Exact conversion; floats are converted via their binary value."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {type(x).__name__} to Fraction")
-
-
 def frac_vec(coords) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(c) for c in coords)
+    return tuple(Fraction(*_ratio(c)) for c in coords)
 
 
 def _ratio(c) -> tuple[int, int]:
-    """Integer ratio (p, q), q > 0, of an exact coordinate (floats read as
-    their binary values)."""
-    return (c if isinstance(c, (float, int, Fraction)) else as_fraction(c)).as_integer_ratio()
+    """A Python-int ratio (p, q), q > 0, of ``Fraction(c)``, or its error
+    (floats read as their binary values): "p" and "p/q" in ASCII digits (p
+    may be negative) by int(), unreduced."""
+    if isinstance(c, (float, int, Fraction)):
+        return c.as_integer_ratio()
+    if isinstance(c, str) and c.isascii():
+        num, slash, den = c.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q:  # Fraction(c) raises the error of a zero denominator
+                return int(num), q
+    # Fraction keeps a numpy integer as its numerator, where products wrap
+    return tuple(map(int, Fraction(c).as_integer_ratio()))
 
 
 def _integer_vector(coords) -> tuple[int, ...]:
@@ -86,13 +83,7 @@ def _primitive_ray(coords) -> tuple[int, ...]:
     can run on these ints instead of on ``Fraction``s, and two vectors name
     the same ray iff their primitive rays are equal.
     """
-    exact = (float, int, Fraction)
-    ratios = [
-        (c if isinstance(c, exact) else as_fraction(c)).as_integer_ratio()
-        for c in coords
-    ]
-    den = math.lcm(*(q for _, q in ratios))
-    ints = [p * (den // q) for p, q in ratios]
+    ints = _integer_vector(coords)[:-1]
     g = math.gcd(*ints)
     if not g:
         raise DomainError("zero vector has no ray")
@@ -318,18 +309,7 @@ class ConvexPolygon:
     """
 
     def __init__(self, vertices):
-        self._build([tuple(_ratio(c) for c in v) for v in vertices])
-
-    @classmethod
-    def from_ratios(cls, vertices) -> "ConvexPolygon":
-        """The polygon on vertices given as integer ratios ((x, q), (y, r)),
-        q, r > 0, not necessarily reduced; no ``Fraction`` is built."""
-        poly = object.__new__(cls)
-        poly._build(vertices)
-        return poly
-
-    def _build(self, ratios):
-        ratios = tuple(ratios)
+        ratios = tuple(tuple(map(_ratio, v)) for v in vertices)
         if any(len(v) != 2 for v in ratios):
             raise DomainError("polygon vertices need exactly two coordinates")
         if len(ratios) < 3:
@@ -545,18 +525,13 @@ def _segment_origin_distance_sq(a, b):
         return dot(closest, closest)
     av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     d = bv - av
-    dd = _row_dots(d, d)[..., None]
+    dd = _column_dots(d, d)[..., None]
     with np.errstate(all="ignore"):  # dd = 0 takes the endpoint a
-        t = -_row_dots(av, d)[..., None] / dd
+        t = -_column_dots(av, d)[..., None] / dd
     # endpoints taken verbatim when the clamp binds: a + t*d cancels badly
     # for far sources, and on-sphere endpoints must stay out of the verdict
     closest = np.where((dd == 0) | (t <= 0.0), av, np.where(t >= 1.0, bv, av + t * d))
-    return _row_dots(closest, closest)
-
-
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x, y> over the last axis, rounded as ``x @ y`` of two vectors."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+    return _column_dots(closest, closest)
 
 
 def _column_dots(x, y) -> np.ndarray:
@@ -917,6 +892,7 @@ def _cofactor_vector(rows) -> list[int]:
     return point
 
 
+@np.errstate(all="ignore")  # overflowing bounds are infinite: undecided
 def _subset_minimum(rows, frows, weights, subsets, cutoff):
     """The least count below ``cutoff`` among the candidates of these
     subsets (see ``_exact_sphere_minimum``), at the first candidate in

@@ -74,27 +74,16 @@ def polygon_to_json(poly: ConvexPolygon) -> dict:
     }
 
 
-def _rational(c) -> tuple[int, int]:
-    """An integer ratio (p, q), q > 0, of ``Fraction(c)``, or its error:
-    "p" and "p/q" in ASCII digits (p may be negative) by int(), unreduced."""
-    if isinstance(c, str) and c.isascii():
-        num, slash, den = c.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
-            q = int(den) if slash else 1
-            if q:  # Fraction(c) raises the error of a zero denominator
-                return int(num), q
-    return Fraction(c).as_integer_ratio()
-
-
 def polygon_from_json(doc: dict) -> ConvexPolygon:
     _check_schema(doc, "polygon")
     try:
         if any(isinstance(c, bool) for v in doc["vertices"] for c in v):
-            raise DomainError("booleans are not coordinates")
-        vertices = [tuple(_rational(c) for c in v) for v in doc["vertices"]]
+            raise TypeError("booleans are not coordinates")
+        return ConvexPolygon(doc["vertices"])
+    except DomainError:
+        raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"malformed polygon JSON: {exc}") from exc
-    return ConvexPolygon.from_ratios(vertices)
 
 
 @contextmanager

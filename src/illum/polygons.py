@@ -79,6 +79,13 @@ def check_consecutive_angle_condition(polygon: ConvexPolygon, m: int) -> bool:
     return check_grouped_angle_condition(polygon, m, range(1, 2 * m + 1))
 
 
+def _check_grouping_size(n: int, m: int):
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    if n < 2 * m + 1:
+        raise DomainError("polygon needs at least 2m+1 vertices")
+
+
 def check_grouped_angle_condition(
     polygon: ConvexPolygon, m: int, cuts
 ) -> bool:
@@ -91,11 +98,8 @@ def check_grouped_angle_condition(
     pi exactly when the two edge rays still make a CCW turn: a single
     cross-product sign, no floating angles.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
     n = polygon.n
-    if n < 2 * m + 1:
-        raise DomainError("polygon needs at least 2m+1 vertices")
+    _check_grouping_size(n, m)
     cuts = list(cuts)
     if len(cuts) != 2 * m:
         raise DomainError(f"grouping needs exactly {2 * m} cuts")
@@ -126,6 +130,7 @@ def find_valid_grouping(polygon: ConvexPolygon, m: int):
     n = polygon.n
     if n > 12:
         raise DomainError("grouping search is guarded to n <= 12")
+    _check_grouping_size(n, m)
     for cuts in combinations(range(1, n), 2 * m):
         if check_grouped_angle_condition(polygon, m, cuts):
             return list(cuts)

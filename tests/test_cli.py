@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from illum.cli import run
-from illum.geometry import ConvexPolygon, unit_circle_body
+from illum.geometry import ConvexPolygon, DirectionMultiset, unit_circle_body
 from illum.jsonio import dump_json, multiset_to_json, polygon_to_json
 from illum.polygons import smooth_2d_directions
 
@@ -504,6 +504,50 @@ class TestErrors:
         assert "--eps" in result.payload["error"]
         fan = run(["ball-construct", "-m", "1", "-d", "3", "--eps", "0.1"])
         assert fan.status == "ok"
+
+    PENTAGON = '{"vertices": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"], ["-1", "1"]]}'
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [(["-m", "2", "--cuts", "1,2,3,4", "--search"], "argument parsing failed"),
+         (["-m", "6", "--search"], "DomainError: polygon needs at least 2m+1 vertices")],
+        ids=["cuts-and-search", "search-with-too-few-vertices"],
+    )
+    def test_check_condition_misuse_exits_2(self, tmp_path, flags, error):
+        # --cuts was dropped beside --search, and the search over no cut
+        # list printed "satisfied": false
+        path = tmp_path / "pentagon.json"
+        path.write_text(self.PENTAGON)
+        result = run(["polygon-check-condition", "--polygon", str(path), *flags])
+        assert result.status == "error" and result.exit_code == 2
+        assert result.payload["error"] == error
+
+    def test_smooth_construct_error_writes_no_out_file(self, tmp_path):
+        out = tmp_path / "dirs.json"
+        result = run(["smooth-construct", "-m", "2", "--margin", "-1", "--out", str(out)])
+        assert result.status == "error" and result.exit_code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ball-verify", "--dirs", "{dirs}", "-m", "1", "-d", "3", "--margin", "1e154"],
+         ["ball-verify", "--dirs", "{dirs}", "-m", "1", "-d", "3", "--margin", "1e308"],
+         ["ball-construct", "-m", "2", "--margin", "1e308"],
+         ["smooth-construct", "-m", "2", "--margin", "1e308"]],
+        ids=["ball-verify-1e154", "ball-verify-1e308", "ball-construct", "smooth-construct"],
+    )
+    def test_huge_margin_warns_of_nothing(self, tmp_path, child_env, argv):
+        # the sphere minimum's float bounds overflow to infinity, which
+        # leaves their signs to integers; numpy must not warn of it
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text(dump_json(multiset_to_json(DirectionMultiset.from_vectors(
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        ))))
+        argv = [str(dirs) if a == "{dirs}" else a for a in argv]
+        child = subprocess.run([sys.executable, "-W", "error", "-m", "illum.cli", *argv],
+                               capture_output=True, env=child_env(ILLUM_LOG="quiet"))
+        assert (child.returncode, child.stderr) == (1, b"")
+        assert child.stdout.decode() == dump_json(run(argv).payload) + "\n"
 
 
 class TestDeterminism:

@@ -250,6 +250,25 @@ class TestConvexPolygon:
                 assert arc == built and hash(arc) == hash(built)
                 assert repr(arc) == repr(built) and arc.rays == built.rays
 
+    def test_coordinate_strings_build_the_polygon_of_their_fractions(self):
+        # strings read by int(), unreduced; their Fractions reduced
+        for doc in self._json_cases():
+            parsed = ConvexPolygon(doc)
+            exact = ConvexPolygon([tuple(map(Fraction, v)) for v in doc])
+            assert parsed.vertices == exact.vertices
+            assert parsed.edges == exact.edges and parsed.rays == exact.rays
+
+    def test_numpy_integer_vertices(self):
+        # read as Python ints: the first edge, 2^63, wraps in int64
+        vertices = np.array([(-2 ** 62, -2 ** 62), (2 ** 62, -2 ** 62), (0, 2 ** 62)])
+        poly = ConvexPolygon(vertices)
+        plain = ConvexPolygon(vertices.tolist())
+        assert poly.vertices == plain.vertices
+        assert poly.edges == plain.edges and poly.rays == plain.rays
+        assert all(type(c) is int for v in poly.int_vertices for r in v for c in r)
+        assert poly.locate_boundary_point(vertices[1]) == ("vertex", 1)
+        assert poly.locate_boundary_point(np.array([0, -2 ** 62])) == ("edge", 0)
+
     def test_arc_equality_is_that_of_its_endpoints(self):
         # as when Arc was a frozen dataclass comparing (start, end)
         arc = Arc(start=(1, 0), end=(0, 1))

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from illum.errors import DomainError
-from illum.geometry import ConvexPolygon, Direction, DirectionMultiset
+from illum.geometry import ConvexPolygon, Direction, DirectionMultiset, _ratio
 from illum.jsonio import (
-    _rational,
     capbody_from_json,
     capbody_to_json,
     multiset_from_json,
@@ -102,8 +101,8 @@ def _outcome(parse, c):
 
 
 def _ratio_value(c) -> Fraction:
-    """The value of ``_rational(c)``, whose denominator must be positive."""
-    p, q = _rational(c)
+    """The value of ``_ratio(c)``, whose denominator must be positive."""
+    p, q = _ratio(c)
     assert type(p) is int and type(q) is int and q > 0
     return Fraction(p, q)
 

@@ -141,7 +141,17 @@ class TestAngleConditions:
 
     def test_find_valid_grouping(self):
         assert find_valid_grouping(regular_polygon_rational(10), 2) is not None
-        assert find_valid_grouping(SQUARE, 2) is None
+        assert find_valid_grouping(FLAT_PENTAGON, 2) is None
+
+    @pytest.mark.parametrize("poly, m", [(SQUARE, 2), (FLAT_PENTAGON, 3), (SQUARE, -1)])
+    def test_grouping_search_rejects_m_as_the_check_does(self, poly, m):
+        # the search over no cut list returned None (n < 2m+1) or raised a
+        # bare ValueError (m < 0); it now raises the check's DomainError
+        with pytest.raises(DomainError) as searched:
+            find_valid_grouping(poly, m)
+        with pytest.raises(DomainError) as checked:
+            check_grouped_angle_condition(poly, m, range(1, 2 * m + 1))
+        assert str(searched.value) == str(checked.value)
 
     def test_condition_implies_2m_plus_1(self):
         # perturbed equiangular (2m+1)-gons that keep the window condition
