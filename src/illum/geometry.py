@@ -49,7 +49,7 @@ def _ratio(c) -> tuple[int, int]:
     """A Python-int ratio (p, q), q > 0, of ``Fraction(c)``, or its error
     (floats read as their binary values): "p" and "p/q" in ASCII digits (p
     may be negative) by int(), unreduced."""
-    if isinstance(c, (float, int, Fraction)):
+    if isinstance(c, (float, int)):  # isinstance of Fraction, an ABC, is slow
         return c.as_integer_ratio()
     if isinstance(c, str) and c.isascii():
         num, slash, den = c.partition("/")
@@ -121,24 +121,14 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _half_plane(v) -> int:
-    """0 for angle in [0, pi), 1 for [pi, 2pi); v must be nonzero."""
-    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-        return 0
-    return 1
-
-
 def angle_cmp(a, b) -> int:
-    """Exact comparison of 2D vectors by angle in [0, 2pi)."""
-    ha, hb = _half_plane(a), _half_plane(b)
+    """Exact comparison of nonzero 2D vectors by angle in [0, 2pi)."""
+    (ax, ay), (bx, by) = a, b  # ha, hb: angle in [pi, 2pi)
+    ha, hb = ay < 0 or (ay == 0 and ax <= 0), by < 0 or (by == 0 and bx <= 0)
     if ha != hb:
-        return -1 if ha < hb else 1
-    c = cross2(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+        return 1 if ha else -1
+    c = ax * by - ay * bx
+    return (c < 0) - (c > 0)
 
 
 angle_sort_key = cmp_to_key(angle_cmp)
@@ -146,12 +136,13 @@ angle_sort_key = cmp_to_key(angle_cmp)
 
 def _rel_class(base, z) -> int:
     """Coarse CCW offset of z from base: 0 at 0, 1 in (0,pi), 2 at pi, 3 in (pi,2pi)."""
-    c = cross2(base, z)
+    (bx, by), (zx, zy) = base, z
+    c = bx * zy - by * zx
     if c > 0:
         return 1
     if c < 0:
         return 3
-    return 0 if dot(base, z) > 0 else 2
+    return 0 if bx * zx + by * zy > 0 else 2
 
 
 def ccw_rel_lt(base, a, b) -> bool:
@@ -161,7 +152,7 @@ def ccw_rel_lt(base, a, b) -> bool:
         return ca < cb
     if ca in (0, 2):
         return False
-    return cross2(a, b) > 0
+    return a[0] * b[1] - a[1] * b[0] > 0
 
 
 def in_halfopen_arc(start, end, x) -> bool:
@@ -170,8 +161,9 @@ def in_halfopen_arc(start, end, x) -> bool:
 
 
 def in_open_arc(start, end, x) -> bool:
-    """x in the CCW arc (start, end)."""
-    return _rel_class(start, x) != 0 and ccw_rel_lt(start, x, end)
+    """x in the CCW arc (start, end): ``ccw_rel_lt(start, x, end)`` off start."""
+    cx, ce = _rel_class(start, x), _rel_class(start, end)
+    return 0 < cx < ce or (0 < cx == ce and x[0] * end[1] - x[1] * end[0] > 0)
 
 
 def is_exact_coords(coords) -> bool:

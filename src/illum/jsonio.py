@@ -153,10 +153,15 @@ def capbody_from_json(doc: dict):
     return CapBodySpec(dim=dim, apexes=apexes)
 
 
+#: most directions listed, multiplicities expanded; a larger optimum exits 2 unlisted
+MAX_LISTED_DIRECTIONS = 10 ** 6
+
+
 def solution_to_json(solution) -> dict:
     """Piercing solution with multiplicities expanded into the list."""
-    if solution.size > sys.maxsize:
-        raise DomainError(f"optimum {solution.size} is too large to list")
+    if solution.size > MAX_LISTED_DIRECTIONS:
+        raise DomainError(f"optimum {solution.size} is too large to list"
+                          f" (more than {MAX_LISTED_DIRECTIONS} directions)")
     directions = []
     with _printable():
         for d, (_, mult) in zip(solution.directions, solution.slots):

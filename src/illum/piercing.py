@@ -28,7 +28,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .geometry import (
     angle_cmp,
     angle_sort_key,
     ccw_rel_lt,
+    cross2,
     in_halfopen_arc,
     in_open_arc,
 )
@@ -247,8 +250,41 @@ def _feasible(intervals, n, m, total) -> list[int]:
     return x
 
 
-def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
-    """Exact rational direction strictly inside every arc covering the slot.
+def _nearest_covering(arcs, order, intervals, slots) -> Iterator[int]:
+    """For each slot k of the ascending ``slots``, a covering arc with the
+    end nearest CCW from the slot's start, by one heap sweep.
+
+    The heap holds the arcs covering slot k keyed by their last slot
+    unrolled past k (a wrapping arc starts in it, sorted, with key r and
+    enters again at l with key r + n).  An arc with last slot r ends in
+    (start_r, start_(r+1)], so the least key holds the nearest end, and
+    ``ccw_rel_lt`` breaks ties.  A full-circle arc is stored as (0, n - 1)
+    whatever its first slot, so its end is compared directly instead."""
+    n = len(arcs)
+    full = [i for i in range(n) if intervals[i] == (0, n - 1)]
+    heap, p = sorted((r, i) for i, (l, r) in enumerate(intervals) if l > r), 0
+    for k in slots:
+        while p < n and intervals[order[p]][0] <= k:  # non-full starts ascend
+            l, r = intervals[order[p]]
+            if (l, r) != (0, n - 1):
+                heappush(heap, (r if l <= r else r + n, order[p]))
+            p += 1
+        while heap and heap[0][0] < k:
+            heappop(heap)
+        ties = [heappop(heap)] if heap else []
+        while heap and heap[0][0] == ties[0][0]:
+            ties.append(heappop(heap))
+        for entry in ties:
+            heappush(heap, entry)
+        s, (near, *rest) = arcs[order[k]].rays[0], [i for _, i in ties] + full
+        for i in rest:
+            if ccw_rel_lt(s, arcs[i].rays[1], arcs[near].rays[1]):
+                near = i
+        yield near
+
+
+def _concretize_slot(system: ArcSystem, k: int, order, intervals, near_idx: int):
+    """Exact rational direction strictly inside every arc covering slot k.
 
     Rotates the start vector s CCW by the rational rotation of parameter
     t = 1/q (angle 2*atan(t) < 2/q), doubling q from 4 until every strict
@@ -256,34 +292,32 @@ def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
     only the accepted direction is built from the exact start.
 
     Every covering arc holds [s, e) for its end e, so all of them hold the
-    open arc (s, e_j) to the covering end e_j nearest CCW from s: a
-    rotation landing there is accepted at once, one outside arc j is
-    rejected, and only one that passes e_j and re-enters arc j (an arc
-    longer than pi; never a vertex arc) tests every covering arc.  With
-    the integer coordinates of s and e_j below 2^b in absolute value, the
-    two rays are at least 2^(-2b-1) apart (|cross| >= 1 over a product of
-    norms below 2^(2b+1)), so the rotation lands in (s, e_j) once
-    q >= 2^(2b+2), which 2b doublings reach; the loop allows 2b + 2.
+    open arc (s, e_j) to the nearest covering end e_j, that of arc
+    ``near_idx``: a rotation landing there is accepted at once.  Only one
+    that passes e_j and re-enters arc j, so arc j is longer than pi (never
+    a vertex arc), reads the covering arcs off the slot intervals and
+    tests them all.  With the integer coordinates of s and e_j below 2^b in
+    absolute value, the rays are at least 2^(-2b-1) apart (|cross| >= 1
+    over a product of norms below 2^(2b+1)), so the rotation lands in
+    (s, e_j) once q >= 2^(2b+2), which 2b doublings reach; the loop
+    allows 2b + 2.
     """
     arcs = system.arcs
-    s = arcs[arc_idx].rays[0]
-    near = arcs[covering[0]]
-    for i in covering:
-        if ccw_rel_lt(s, arcs[i].rays[1], near.rays[1]):
-            near = arcs[i]
-    end = near.rays[1]
+    s, near = arcs[order[k]].rays[0], arcs[near_idx]
+    end, long = near.rays[1], cross2(*near.rays) < 0  # longer than pi
     sx, sy = s
     b = max(abs(c).bit_length() for c in (sx, sy, *end))
     q = 4
     for _ in range(2 * b + 3):
         c = q * q - 1
         w = (c * sx - 2 * q * sy, 2 * q * sx + c * sy)
-        if near.contains_direction(w) and (
-            in_open_arc(s, end, w)
-            or all(arcs[i].contains_direction(w) for i in covering)
-        ):
+        if in_open_arc(s, end, w) or (long and near.contains_direction(w) and all(
+            arcs[i].contains_direction(w)
+            for i, (l, r) in enumerate(intervals)
+            if (l <= k <= r if l <= r else not r < k < l)
+        )):
             # ((1 - t^2) x - 2 t y, 2 t x + (1 - t^2) y) at t = 1/q on integers
-            x, y, d = arcs[arc_idx].int_start
+            x, y, d = arcs[order[k]].int_start
             den = q * q * d
             return Fraction(c * x - 2 * q * y, den), Fraction(2 * q * x + c * y, den)
         q *= 2
@@ -291,27 +325,21 @@ def _concretize_slot(system: ArcSystem, arc_idx: int, covering: list[int]):
 
 
 def min_mfold_pierce(system: ArcSystem, m: int) -> PiercingSolution:
-    """Provably optimal multiset piercing every arc at least m times."""
+    """Provably optimal multiset piercing every arc at least m times.
+
+    O(n log n) besides the feasibility relaxation and the slot rotations."""
     if m < 1:
         raise DomainError("demand must be >= 1")
     n = system.n
     order, intervals = _slot_intervals(system.arcs)
     chain, wraps = _greedy_chain(intervals, n)
     total = -(-len(chain) * m // wraps)
-    slots, dirs = [], []
-    for k, mult in enumerate(_feasible(intervals, n, m, total)):
-        if mult <= 0:
-            continue
-        arc_idx = order[k]
-        covering = [
-            i
-            for i, (l, r) in enumerate(intervals)
-            if (l <= k <= r if l <= r else not r < k < l)
-        ]
-        slots.append((arc_idx, mult))
-        dirs.append(_concretize_slot(system, arc_idx, covering))
+    emitted = [(k, x) for k, x in enumerate(_feasible(intervals, n, m, total)) if x > 0]
+    nearest = _nearest_covering(system.arcs, order, intervals, [k for k, _ in emitted])
     return PiercingSolution(
-        size=total, m=m, slots=slots, directions=dirs,
+        size=total, m=m, slots=[(order[k], mult) for k, mult in emitted],
+        directions=[_concretize_slot(system, k, order, intervals, near)
+                    for (k, _), near in zip(emitted, nearest)],
         certificate={
             "anchor_arc": chain[0], "chain": chain, "wraps": wraps, "bound": total
         },

@@ -9,7 +9,7 @@ import pytest
 from illum.cli import run
 from illum.geometry import ConvexPolygon, DirectionMultiset, unit_circle_body
 from illum.jsonio import dump_json, multiset_to_json, polygon_to_json
-from illum.polygons import smooth_2d_directions
+from illum.polygons import regular_polygon_rational, smooth_2d_directions
 
 from conftest import isolated_circle_cap_body, limit_denominator_polygon
 
@@ -474,6 +474,20 @@ class TestErrors:
         assert result.status == "error" and result.exit_code == 2
         assert "too large" in result.payload["error"]
 
+    def test_optimum_past_the_listing_limit_exits_2(self, tmp_path, monkeypatch):
+        from illum import jsonio
+
+        path = tmp_path / "triangle.json"
+        path.write_text('{"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}')
+        monkeypatch.setattr(jsonio, "MAX_LISTED_DIRECTIONS", 300)
+        listed = run(["polygon-solve", "--polygon", str(path), "-m", "100"])
+        assert listed.exit_code == 0 and len(listed.payload["directions"]) == 300
+        result = run(["polygon-solve", "--polygon", str(path), "-m", "101"])
+        assert result.status == "error" and result.exit_code == 2
+        assert result.payload["error"] == (
+            "DomainError: optimum 303 is too large to list (more than 300 directions)"
+        )
+
     def test_construction_failure_prints_its_report(self, monkeypatch):
         from illum import geometry
 
@@ -637,9 +651,14 @@ class TestGoldenStdout:
         monkeypatch.setenv("ILLUM_LOG", "quiet")
         regular = tmp_path / "regular200.json"
         regular.write_text(dump_json(polygon_to_json(limit_denominator_polygon(200))))
+        # 401 emitted slots, recorded before their nearest covering ends were
+        # found by one sweep
+        many = tmp_path / "regular1000.json"
+        many.write_text(dump_json(polygon_to_json(regular_polygon_rational(1000))))
         cases = [
             (regular, "3", "polygon_solve_reg200_m3.stdout"),
             (data / "polygon_lattice24.json", "5", "polygon_solve_lattice24_m5.stdout"),
+            (many, "1000", "polygon_solve_reg1000_m1000.stdout"),
         ]
         for path, m, golden in cases:
             assert main(["polygon-solve", "--polygon", str(path), "-m", m]) == 0
@@ -654,9 +673,12 @@ class TestGoldenStdout:
         monkeypatch.setenv("ILLUM_LOG", "quiet")
         regular = tmp_path / "regular200.json"
         regular.write_text(dump_json(polygon_to_json(limit_denominator_polygon(200))))
+        many = tmp_path / "regular1000.json"
+        many.write_text(dump_json(polygon_to_json(regular_polygon_rational(1000))))
         cases = [
             (regular, "3", "polygon_emit_reg200_m3.json"),
             (data / "polygon_lattice24.json", "5", "polygon_emit_lattice24_m5.json"),
+            (many, "1000", "polygon_emit_reg1000_m1000.json"),
         ]
         for path, m, golden in cases:
             out = tmp_path / golden

@@ -501,6 +501,32 @@ class TestArcOrderPrimitives:
         assert not in_halfopen_arc(start, end, (0, -1))
         assert in_halfopen_arc(start, end, (5, 0))       # scale-free
 
+    def test_angle_order_matches_float_angles(self):
+        # on small integer vectors distinct rays are far apart as floats;
+        # vectors on one ray compare equal and have CCW offset 0, so an arc
+        # from a ray to itself holds nothing
+        from illum.geometry import _primitive_ray, angle_cmp, ccw_rel_lt, in_open_arc
+
+        grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+
+        def angle(v):
+            return math.atan2(v[1], v[0]) % (2 * math.pi)
+
+        def offset(base, v):
+            same = _primitive_ray(base) == _primitive_ray(v)
+            return 0.0 if same else (angle(v) - angle(base)) % (2 * math.pi)
+
+        for a in grid:
+            for b in grid:
+                same = _primitive_ray(a) == _primitive_ray(b)
+                want = 0 if same else (-1 if angle(a) < angle(b) else 1)
+                assert angle_cmp(a, b) == want, (a, b)
+                for base in grid[::5]:
+                    lt = not same and offset(base, a) < offset(base, b)
+                    assert ccw_rel_lt(base, a, b) == lt, (base, a, b)
+                    inside = lt and offset(base, a) > 0
+                    assert in_open_arc(base, b, a) == inside, (base, b, a)
+
     def test_every_direction_lights_some_boundary_point(self):
         # vertex arcs alone need not cover the circle (a triangle's three
         # arcs only total pi), but every direction strictly enters through

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from illum.errors import DomainError
@@ -126,7 +127,8 @@ def test_coordinate_string_parses_as_fraction(c):
 
 
 @pytest.mark.parametrize("c", [0, -3, 10 ** 30, 0.1, -2.5, 1e300, True, False,
-                               float("nan"), float("inf"), None, [1]])
+                               float("nan"), float("inf"), None, [1], Fraction(-4, 6),
+                               np.int64(7), np.float64(0.25)])
 def test_non_string_coordinate_parses_as_fraction(c):
     assert _outcome(_ratio_value, c) == _outcome(Fraction, c)
 

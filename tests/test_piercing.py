@@ -20,6 +20,7 @@ from illum.piercing import (
     ArcSystem,
     _concretize_slot,
     _membership,
+    _nearest_covering,
     _slot_intervals,
     _slot_order,
     certificate_lower_bound,
@@ -452,14 +453,62 @@ class TestSlotIntervals:
         assert min(dup_start, dup_end, end_on_start, full) >= 10
 
 
+def swept_nearest(system, slots=None):
+    """The sweep's nearest covering arc of every slot (or of ``slots``)."""
+    order, intervals = _slot_intervals(system.arcs)
+    slots = range(system.n) if slots is None else slots
+    return list(_nearest_covering(system.arcs, order, intervals, slots))
+
+
+def assert_sweep_matches_scan(system, order, member):
+    nearest = swept_nearest(system)
+    for k, (arc_idx, near) in enumerate(zip(order, nearest)):
+        covering = [i for i in range(system.n) if member[i][k]]
+        assert member[near][k]
+        assert system.arcs[near].rays[1] == nearest_covering_end(system, arc_idx, covering)
+
+
+class TestNearestCoveringSweep:
+    def test_matches_scan_on_edge_cases(self, edge_cases):
+        for system, order, member in edge_cases:
+            assert_sweep_matches_scan(system, order, member)
+
+    def test_matches_scan_on_random_systems(self):
+        # long, wrapping and duplicate-start arcs, and full-circle arcs whose
+        # first slot is not 0 (stored as (0, n - 1) all the same)
+        rng = np.random.default_rng(8128)
+        long = wrap = dup_start = full_late = 0
+        for _ in range(300):
+            if rng.integers(0, 2):
+                system = shared_ray_system(rng)
+            else:
+                system = random_arc_system(rng, int(rng.integers(1, 14)))
+            order = _slot_order(system)
+            member = _membership(system, order)
+            assert_sweep_matches_scan(system, order, member)
+            slots = sorted(set(rng.integers(0, system.n, system.n).tolist()))
+            every = swept_nearest(system)
+            assert swept_nearest(system, slots) == [every[k] for k in slots]
+            n, intervals = system.n, _slot_intervals(system.arcs)[1]
+            starts = [a.rays[0] for a in system.arcs]
+            long += any(a.length() > math.pi for a in system.arcs)
+            wrap += any(l > r for l, r in intervals)
+            dup_start += len(set(starts)) < n
+            full_late += any(
+                all(member[i]) and starts[i] != starts[order[0]] for i in range(n)
+            )
+        assert min(long, wrap, dup_start, full_late) >= 10
+
+
 class TestConcretizeSlot:
     def test_matches_fraction_rotation(self, edge_cases):
         for system, order, member in edge_cases:
             if system.n > 60:
                 continue
+            intervals, nearest = _slot_intervals(system.arcs)[1], swept_nearest(system)
             for k, arc_idx in enumerate(order):
                 covering = [i for i in range(system.n) if member[i][k]]
-                got = _concretize_slot(system, arc_idx, covering)
+                got = _concretize_slot(system, k, order, intervals, nearest[k])
                 assert got == reference_concretize(system, arc_idx, covering)
                 assert all(type(c) is Fraction for c in got)
 
